@@ -10,51 +10,47 @@
 //! and every DEL's existed/missing answer is checked — any disagreement
 //! is an integrity error.
 //!
-//! The engine under test is selectable: `--backend threaded` (the
-//! blocking worker pool) or `--backend evented` (the nonblocking
-//! readiness reactor; `evented-poll` forces the poll(2) fallback).
-//! `--pipeline W` switches the clients to the pipelined protocol — a
-//! window of `W` tagged requests in flight per connection, responses
+//! The server runs its one engine, one evented reactor per CPU;
+//! `--backend evented-poll` forces the reactors onto the poll(2)
+//! fallback instead of epoll. `--pipeline W` switches the clients to
+//! the pipelined protocol — a window of `W` tagged requests in flight per connection, responses
 //! reaped by tag — with the same shadow verification (expectations are
 //! pinned at send time; the server executes each connection's requests
 //! in order) plus an exactly-once tag check.
 //!
-//! `--conns N` adds a **connection-count A/B sweep**: for each backend,
-//! levels of total connections (a few hot, the rest idle-but-open) up
-//! to `N`, measuring hot-path throughput and client-observed p99 at
-//! each level. A level is *sustained* if every connection is admitted
-//! (PING answered) and the hot traffic runs error-free. The per-backend
-//! curves and a threaded-vs-evented verdict land in the output JSON —
-//! this is the experiment showing the reactor holding an order of
-//! magnitude more connections than the thread-per-connection pool at
-//! equal or better tail latency.
+//! `--conns N` adds a **connection ladder**: levels of total
+//! connections (a few hot, the rest idle-but-open) up to `N`, each
+//! against a fresh server, measuring hot-path throughput and
+//! client-observed p99 at each level. A level is *sustained* if every
+//! connection is admitted (PING answered) and the hot traffic runs
+//! error-free. Idle connections cost a reactor buffers, not threads, so
+//! the tail at the top level should match the tail at the bottom.
 //!
-//! After the run one extra connection FLUSHes, fetches STATS, and probes
-//! saturation (full mode only): it parks `workers` idle connections so
-//! the pool is fully occupied, then connects once more and asserts the
-//! server answers `BUSY` — bounded admission observable on the wire.
+//! After the run one extra connection FLUSHes and fetches STATS.
 //!
 //! Results land in `BENCH_server.json`: client-side throughput, the
 //! server's per-opcode latency histograms (p50/p99 straight from the
 //! wire telemetry), the wire counters, the store's memory/spill tier
 //! split parsed back out of the STATS payload, and (with `--conns`) the
-//! `ab_sweep` section.
+//! `ladder` section.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p cc-bench --bin loadgen [-- --threads N --ops N \
-//!     --backend threaded|evented|evented-poll --pipeline W --conns N --out PATH]
-//! cargo run --release -p cc-bench --bin loadgen -- --smoke [--backend evented] [--conns 64]
+//!     --backend evented|evented-poll --pipeline W --conns N --out PATH]
+//! cargo run --release -p cc-bench --bin loadgen -- --smoke [--pipeline 8] [--conns 64]
 //! ```
 //!
 //! `--smoke` runs a reduced-ops pass and exits nonzero on any integrity
 //! error, any response-tag mismatch, any malformed or BUSY-rejected
 //! frame, a latency histogram that is empty or disordered, ring events
 //! that disagree with the counters they shadow, a STATS payload that
-//! fails Prometheus parsing — or, when `--conns` is given, an evented
-//! p99 worse than 2× the threaded p99 at equal connection count. CI
-//! runs it on every push next to `storebench --smoke`.
+//! fails Prometheus parsing, a connection left open (or counted opened
+//! but not closed) after shutdown — or, when `--conns` is given, a
+//! ladder level not sustained or a top-level p99 worse than 2× the
+//! lowest level's. CI runs it on every push next to `storebench
+//! --smoke`.
 
 use cc_bench::smoke;
 use cc_core::medium::{Fault, FaultInjector, FaultPlan, FileMedium};
@@ -367,60 +363,21 @@ fn run_client_pipelined(
     Ok(r)
 }
 
-/// Park `workers` idle connections so every worker is occupied, then
-/// connect once more: the admission queue is full and the server must
-/// answer `BUSY`. Returns whether the extra connection was rejected.
-/// The probe reads the unsolicited BUSY frame directly (sending nothing
-/// first), because the server closes right after writing it.
-fn saturation_probe(addr: std::net::SocketAddr, workers: usize) -> bool {
-    use cc_server::{frame, Response, Status};
-    let holders: Vec<Client> = (0..workers)
-        .filter_map(|_| Client::connect(addr).ok())
-        .collect();
-    if holders.len() < workers {
-        return false;
-    }
-    // The holders occupy workers as soon as the pool hands them over;
-    // give the rendezvous a moment so the probe races nothing.
-    std::thread::sleep(Duration::from_millis(50));
-    let rejected = match std::net::TcpStream::connect(addr) {
-        Ok(mut extra) => {
-            let _ = extra.set_read_timeout(Some(Duration::from_secs(5)));
-            let mut body = Vec::new();
-            match frame::read_frame(&mut extra, &mut body, frame::DEFAULT_MAX_FRAME) {
-                Ok(_seq) => matches!(
-                    Response::decode(&body),
-                    Ok(Response {
-                        status: Status::Busy,
-                        ..
-                    })
-                ),
-                Err(_) => false,
-            }
-        }
-        Err(_) => false,
-    };
-    drop(holders);
-    rejected
-}
-
 // ---------------------------------------------------------------------
-// Connection-count A/B sweep
+// Connection ladder
 // ---------------------------------------------------------------------
 
-/// Hot connections driving traffic at every sweep level; the rest of
+/// Hot connections driving traffic at every ladder level; the rest of
 /// the level's connections are open-and-idle.
-const SWEEP_HOT: usize = 2;
-/// Worker threads for the threaded backend under sweep: its
-/// connection-count ceiling, chosen so the A/B is a fair
-/// "thread-per-connection at its configured capacity" baseline rather
-/// than an artificially tiny pool.
-const SWEEP_WORKERS: usize = 16;
-/// Keys per hot connection in the sweep (small: the sweep measures the
-/// service path, not the store tiers).
-const SWEEP_KEYS: u64 = 256;
+const LADDER_HOT: usize = 2;
+/// Keys per hot connection on the ladder (small: the ladder measures
+/// the service path, not the store tiers).
+const LADDER_KEYS: u64 = 256;
+/// Operations per hot connection at each level: enough that one
+/// scheduling hiccup on a shared host does not move a level's p99.
+const LADDER_OPS_PER_HOT: u64 = 3_000;
 
-/// One measured level of the sweep.
+/// One measured level of the ladder.
 struct LevelResult {
     conns: usize,
     admitted: usize,
@@ -428,27 +385,6 @@ struct LevelResult {
     ops_per_sec: f64,
     p50_us: f64,
     p99_us: f64,
-}
-
-struct BackendSweep {
-    levels: Vec<LevelResult>,
-}
-
-impl BackendSweep {
-    /// The largest connection count this backend held with every
-    /// connection admitted and the hot path clean.
-    fn max_sustained(&self) -> usize {
-        self.levels
-            .iter()
-            .filter(|l| l.sustained)
-            .map(|l| l.conns)
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn level(&self, conns: usize) -> Option<&LevelResult> {
-        self.levels.iter().find(|l| l.conns == conns)
-    }
 }
 
 /// Sequential PUT/GET hot loop with per-op client-side latency capture.
@@ -461,7 +397,7 @@ fn run_hot(
     let mut client = Client::connect(addr)?;
     client.set_timeout(Some(Duration::from_secs(30)))?;
     client.ping()?;
-    let base = thread as u64 * SWEEP_KEYS;
+    let base = thread as u64 * LADDER_KEYS;
     let mut shadow: HashMap<u64, u64> = HashMap::new();
     let mut versions = 0u64;
     let mut rng = SplitMix64::new(0xBEEF + thread as u64);
@@ -471,7 +407,7 @@ fn run_hot(
     let mut lat = Vec::with_capacity(ops as usize);
     let mut r = ThreadResult::default();
     for _ in 0..ops {
-        let key = base + rng.next_u64() % SWEEP_KEYS;
+        let key = base + rng.next_u64() % LADDER_KEYS;
         r.ops += 1;
         let t0 = Instant::now();
         if rng.next_u64().is_multiple_of(2) {
@@ -512,28 +448,19 @@ fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
     sorted_ns[idx] as f64 / 1_000.0
 }
 
-/// One sweep level against a fresh server: `conns - SWEEP_HOT` idle
-/// connections held open, `SWEEP_HOT` hot connections measured.
-fn sweep_level(backend: ServerBackend, conns: usize, ops_per_hot: u64) -> LevelResult {
+/// One ladder level against a fresh server: `conns - LADDER_HOT` idle
+/// connections held open, `LADDER_HOT` hot connections measured.
+fn ladder_level(backend: ServerBackend, conns: usize) -> LevelResult {
     let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(64 << 20)));
-    let mut cfg = ServerConfig::default()
+    let cfg = ServerConfig::default()
         .with_backend(backend)
         .with_idle_timeout(Duration::from_secs(120));
-    cfg = match backend {
-        // The pool's connection capacity IS the contended resource: cap
-        // it crisply at the worker count (no backlog grace).
-        ServerBackend::Threaded => cfg.with_workers(SWEEP_WORKERS).with_backlog(0),
-        // The reactor is capacity-limited only by its admission cap.
-        ServerBackend::Evented | ServerBackend::EventedPoll => cfg.with_max_conns(4096),
-    };
-    let server = Server::spawn(store, "127.0.0.1:0", cfg).expect("spawn sweep server");
+    let server = Server::spawn(store, "127.0.0.1:0", cfg).expect("spawn ladder server");
     let addr = server.local_addr();
 
-    // Idle holders first, then the hot connections claim the remaining
-    // capacity — at a backend's exact capacity the level only fits in
-    // this order. A connection counts as admitted once a PING
-    // round-trips on it.
-    let idle_target = conns.saturating_sub(SWEEP_HOT);
+    // Idle holders first, then the hot connections. A connection counts
+    // as admitted once a PING round-trips on it.
+    let idle_target = conns.saturating_sub(LADDER_HOT);
     let mut admitted = 0usize;
     let mut idle_holders = Vec::with_capacity(idle_target);
     for _ in 0..idle_target {
@@ -552,8 +479,8 @@ fn sweep_level(backend: ServerBackend, conns: usize, ops_per_hot: u64) -> LevelR
     }
 
     let start = Instant::now();
-    let hot: Vec<_> = (0..SWEEP_HOT)
-        .map(|t| std::thread::spawn(move || run_hot(addr, t, ops_per_hot)))
+    let hot: Vec<_> = (0..LADDER_HOT)
+        .map(|t| std::thread::spawn(move || run_hot(addr, t, LADDER_OPS_PER_HOT)))
         .collect();
     let mut lat: Vec<u64> = Vec::new();
     let mut tally = ThreadResult::default();
@@ -570,10 +497,11 @@ fn sweep_level(backend: ServerBackend, conns: usize, ops_per_hot: u64) -> LevelR
     server.shutdown();
 
     lat.sort_unstable();
-    let sustained = hot_admitted == SWEEP_HOT
+    let sustained = hot_admitted == LADDER_HOT
         && admitted == idle_target
         && tally.hard_errors == 0
-        && tally.integrity_mismatches == 0;
+        && tally.integrity_mismatches == 0
+        && tally.tag_mismatches == 0;
     LevelResult {
         conns,
         admitted: admitted + hot_admitted,
@@ -584,13 +512,13 @@ fn sweep_level(backend: ServerBackend, conns: usize, ops_per_hot: u64) -> LevelR
     }
 }
 
-/// Run the level ladder for one backend, stopping after the first level
-/// it fails to sustain (higher levels cannot do better).
-fn sweep_backend(backend: ServerBackend, levels: &[usize], ops_per_hot: u64) -> BackendSweep {
-    let mut out = BackendSweep { levels: Vec::new() };
+/// Climb the ladder, stopping after the first level the server fails
+/// to sustain (higher levels cannot do better).
+fn run_ladder(backend: ServerBackend, levels: &[usize]) -> Vec<LevelResult> {
+    let mut out = Vec::new();
     for &conns in levels {
-        eprintln!("  sweep {}: {} conns ...", backend.name(), conns);
-        let level = sweep_level(backend, conns, ops_per_hot);
+        eprintln!("  ladder: {conns} conns ...");
+        let level = ladder_level(backend, conns);
         eprintln!(
             "    admitted {}/{}, {}, {:.0} ops/s, p50 {:.0} us, p99 {:.0} us",
             level.admitted,
@@ -605,7 +533,7 @@ fn sweep_backend(backend: ServerBackend, levels: &[usize], ops_per_hot: u64) -> 
             level.p99_us,
         );
         let stop = !level.sustained;
-        out.levels.push(level);
+        out.push(level);
         if stop {
             break;
         }
@@ -613,21 +541,10 @@ fn sweep_backend(backend: ServerBackend, levels: &[usize], ops_per_hot: u64) -> 
     out
 }
 
-fn sweep_json(s: &BackendSweep) -> String {
-    let levels: Vec<String> = s
-        .levels
-        .iter()
-        .map(|l| {
-            format!(
-                "{{\"conns\": {}, \"admitted\": {}, \"sustained\": {}, \"ops_per_sec\": {:.0}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
-                l.conns, l.admitted, l.sustained, l.ops_per_sec, l.p50_us, l.p99_us
-            )
-        })
-        .collect();
+fn level_json(l: &LevelResult) -> String {
     format!(
-        "{{\"levels\": [{}], \"max_sustained_conns\": {}}}",
-        levels.join(", "),
-        s.max_sustained()
+        "{{\"conns\": {}, \"admitted\": {}, \"sustained\": {}, \"ops_per_sec\": {:.0}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
+        l.conns, l.admitted, l.sustained, l.ops_per_sec, l.p50_us, l.p99_us
     )
 }
 
@@ -686,8 +603,8 @@ struct TraceOverhead {
     overhead_pct: f64,
 }
 
-/// One probe trial: a fresh single-worker server (traced or not), one
-/// closed-loop client, client-observed throughput.
+/// One probe trial: a fresh server (traced or not), one closed-loop
+/// client, client-observed throughput.
 fn trace_probe_trial(ops: u64, zipf: &Zipf, traced: bool) -> f64 {
     let mut cfg = StoreConfig::in_memory(BUDGET);
     if traced {
@@ -701,12 +618,8 @@ fn trace_probe_trial(ops: u64, zipf: &Zipf, traced: bool) -> f64 {
         ));
     }
     let store = Arc::new(CompressedStore::new(cfg));
-    let server = Server::spawn(
-        store,
-        "127.0.0.1:0",
-        ServerConfig::default().with_workers(1),
-    )
-    .expect("spawn probe server");
+    let server =
+        Server::spawn(store, "127.0.0.1:0", ServerConfig::default()).expect("spawn probe server");
     let addr = server.local_addr();
     let start = Instant::now();
     let r = run_client(addr, 0, ops, zipf).expect("probe client");
@@ -783,12 +696,8 @@ fn trace_exemplar_trial() -> (u64, bool) {
     let store = Arc::new(CompressedStore::new(
         StoreConfig::in_memory(8 << 20).with_tracer(Arc::clone(&tracer)),
     ));
-    let server = Server::spawn(
-        Arc::clone(&store),
-        "127.0.0.1:0",
-        ServerConfig::default().with_workers(2),
-    )
-    .expect("spawn exemplar server");
+    let server = Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default())
+        .expect("spawn exemplar server");
     let mut client = Client::connect(server.local_addr()).expect("exemplar connect");
     let mut page = vec![0u8; PAGE];
     let mut out = Vec::with_capacity(PAGE);
@@ -810,9 +719,9 @@ fn main() {
     let mut ops_per_thread: u64 = 50_000;
     let mut out_path = String::from("BENCH_server.json");
     let mut smoke_mode = false;
-    let mut backend = ServerBackend::Threaded;
+    let mut backend = ServerBackend::default();
     let mut pipeline_window: usize = 0;
-    let mut sweep_conns: usize = 0;
+    let mut ladder_conns: usize = 0;
     let mut trace_mode = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -838,7 +747,7 @@ fn main() {
             "--backend" => {
                 let name = args.next().unwrap_or_default();
                 backend = ServerBackend::parse(&name).unwrap_or_else(|| {
-                    eprintln!("--backend expects threaded|evented|evented-poll, got {name:?}");
+                    eprintln!("--backend expects evented|evented-poll, got {name:?}");
                     std::process::exit(2);
                 })
             }
@@ -849,8 +758,8 @@ fn main() {
                 })
             }
             "--conns" => {
-                sweep_conns = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--conns expects a connection count for the A/B sweep");
+                ladder_conns = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--conns expects the top connection count of the ladder");
                     std::process::exit(2);
                 })
             }
@@ -862,18 +771,20 @@ fn main() {
             "--trace" => trace_mode = true,
             other => {
                 eprintln!(
-                    "unknown arg: {other}\nusage: loadgen [--threads N] [--ops N] [--backend threaded|evented|evented-poll] [--pipeline W] [--conns N] [--trace] [--out PATH] [--smoke]"
+                    "unknown arg: {other}\nusage: loadgen [--threads N] [--ops N] [--backend evented|evented-poll] [--pipeline W] [--conns N] [--trace] [--out PATH] [--smoke]"
                 );
                 std::process::exit(2);
             }
         }
     }
     let threads = threads.max(1);
+    let reactors = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let spill_path = std::env::temp_dir().join(format!("loadgen-spill-{}.bin", std::process::id()));
     // `--trace`: the store (and through it the server) samples requests
-    // into the flight recorder at the default 1-in-64 rate; stripes
-    // match the worker count so span recording stays uncontended.
+    // into the flight recorder at the default 1-in-64 rate; one ring
+    // stripe per client thread plus one keeps span recording
+    // uncontended.
     let tracer = trace_mode.then(|| {
         Arc::new(
             Tracer::builder()
@@ -891,15 +802,13 @@ fn main() {
     let server = Server::spawn(
         Arc::clone(&store),
         "127.0.0.1:0",
-        ServerConfig::default()
-            .with_backend(backend)
-            .with_workers(threads),
+        ServerConfig::default().with_backend(backend),
     )
     .expect("spawn server");
     let addr = server.local_addr();
     let service = Arc::clone(server.service());
     eprintln!(
-        "loadgen: {threads} clients x {ops_per_thread} ops, {KEYS_PER_THREAD} zipfian(s={ZIPF_S}) keys/thread, mixed 50/40/10 put/get/del, server {addr} (backend {}, {threads} workers, budget {BUDGET}{})",
+        "loadgen: {threads} clients x {ops_per_thread} ops, {KEYS_PER_THREAD} zipfian(s={ZIPF_S}) keys/thread, mixed 50/40/10 put/get/del, server {addr} (backend {}, budget {BUDGET}{})",
         backend.name(),
         if pipeline_window > 0 {
             format!(", pipeline window {pipeline_window}")
@@ -951,19 +860,9 @@ fn main() {
         c.dump().expect("DUMP")
     });
 
-    let busy_seen = if smoke_mode || backend != ServerBackend::Threaded {
-        // The smoke gate requires zero rejected frames, so the probe
-        // (which manufactures one) only runs in full mode; the probe's
-        // park-the-workers construction is also specific to the
-        // threaded pool. BUSY-path coverage for the reactor lives in
-        // the server integration tests and the sweep below.
-        false
-    } else {
-        saturation_probe(addr, threads)
-    };
-
     server.shutdown();
     let snap = service.snapshot();
+    let open_after_shutdown = service.open_connections();
     let store_snap = store.telemetry_snapshot();
     drop(store);
     let _ = std::fs::remove_file(&spill_path);
@@ -989,16 +888,6 @@ fn main() {
         wire("malformed_frames"),
     );
     eprintln!("  store tiers (from STATS): {hits_memory} memory hits, {hits_spill} spill hits, {misses} misses");
-    if !smoke_mode && backend == ServerBackend::Threaded {
-        eprintln!(
-            "  saturation probe: extra connection {}",
-            if busy_seen {
-                "rejected BUSY (bounded admission)"
-            } else {
-                "NOT rejected"
-            }
-        );
-    }
 
     // Trace plane: span accounting from the main run, then the three
     // dedicated trials (overhead probe, injected-fault dump, exemplar
@@ -1051,60 +940,36 @@ fn main() {
         }
     });
 
-    // Connection-count A/B sweep: threaded vs evented at increasing
-    // open-connection levels.
-    let sweep = if sweep_conns > 0 {
+    // Connection ladder: fresh servers at increasing open-connection
+    // levels, the tail at the top held to the tail at the bottom.
+    let ladder = (ladder_conns > 0).then(|| {
         let mut levels: Vec<usize> = Vec::new();
         let mut c = 4usize;
-        while c < sweep_conns {
+        while c < ladder_conns {
             levels.push(c);
             c *= 4;
         }
-        levels.push(sweep_conns);
-        let ops_per_hot: u64 = if smoke_mode { 600 } else { 3_000 };
+        levels.push(ladder_conns);
         eprintln!(
-            "ab sweep: levels {:?}, {} hot conns x {} ops each, threaded workers {}",
-            levels, SWEEP_HOT, ops_per_hot, SWEEP_WORKERS
+            "ladder: levels {levels:?}, {LADDER_HOT} hot conns x {LADDER_OPS_PER_HOT} ops each, {reactors} reactor(s)"
         );
-        let threaded = sweep_backend(ServerBackend::Threaded, &levels, ops_per_hot);
-        let evented = sweep_backend(ServerBackend::Evented, &levels, ops_per_hot);
-        let (t_max, e_max) = (threaded.max_sustained(), evented.max_sustained());
-        let ratio = if t_max > 0 {
-            e_max as f64 / t_max as f64
-        } else {
-            0.0
+        let ran = run_ladder(backend, &levels);
+        let all_sustained = ran.len() == levels.len() && ran.iter().all(|l| l.sustained);
+        let p99_ratio = match (ran.first(), ran.last()) {
+            (Some(lo), Some(hi)) => hi.p99_us / lo.p99_us.max(1e-9),
+            _ => f64::NAN,
         };
-        // Tail-latency comparison at the largest level both backends
-        // sustain: "equal concurrency".
-        let equal = threaded
-            .levels
-            .iter()
-            .filter(|l| l.sustained)
-            .filter_map(|l| {
-                evented
-                    .level(l.conns)
-                    .filter(|e| e.sustained)
-                    .map(|e| (l, e))
-            })
-            .max_by_key(|(l, _)| l.conns);
-        let p99_ratio = equal
-            .map(|(t, e)| e.p99_us / t.p99_us.max(1e-9))
-            .unwrap_or(f64::NAN);
         eprintln!(
-            "  verdict: threaded sustains {t_max} conns, evented {e_max} ({ratio:.1}x); p99 evented/threaded at {} conns = {:.2}",
-            equal.map(|(l, _)| l.conns).unwrap_or(0),
-            p99_ratio,
+            "  verdict: {} up to {ladder_conns} conns; p99 top/lowest level = {p99_ratio:.2}",
+            if all_sustained { "sustained" } else { "NOT sustained" },
         );
-        Some((threaded, evented, t_max, e_max, ratio, p99_ratio))
-    } else {
-        None
-    };
+        (ran, all_sustained, p99_ratio)
+    });
 
-    let ab_json = match &sweep {
-        Some((t, e, t_max, e_max, ratio, p99_ratio)) => format!(
-            ",\n  \"ab_sweep\": {{\n    \"hot_conns\": {SWEEP_HOT},\n    \"threaded_workers\": {SWEEP_WORKERS},\n    \"threaded\": {},\n    \"evented\": {},\n    \"verdict\": {{\"threaded_max_conns\": {t_max}, \"evented_max_conns\": {e_max}, \"conn_ratio\": {ratio:.1}, \"equal_conns_p99_ratio\": {p99_ratio:.3}}}\n  }}",
-            sweep_json(t),
-            sweep_json(e),
+    let ladder_json = match &ladder {
+        Some((ran, all_sustained, p99_ratio)) => format!(
+            ",\n  \"ladder\": {{\n    \"hot_conns\": {LADDER_HOT},\n    \"reactors\": {reactors},\n    \"levels\": [{}],\n    \"all_sustained\": {all_sustained},\n    \"top_vs_lowest_p99_ratio\": {p99_ratio:.3}\n  }}",
+            ran.iter().map(level_json).collect::<Vec<_>>().join(", "),
         ),
         None => String::new(),
     };
@@ -1127,7 +992,7 @@ fn main() {
         None => String::new(),
     };
     let json = format!(
-        "{{\n  \"benchmark\": \"loadgen\",\n  \"backend\": \"{}\",\n  \"pipeline_window\": {pipeline_window},\n  \"threads\": {threads},\n  \"ops_per_thread\": {ops_per_thread},\n  \"keys_per_thread\": {KEYS_PER_THREAD},\n  \"zipf_s\": {ZIPF_S},\n  \"page_size\": {PAGE},\n  \"budget_bytes\": {BUDGET},\n  \"mix\": \"50% put / 40% get / 10% del\",\n  \"elapsed_s\": {elapsed:.3},\n  \"ops_per_sec\": {ops_per_sec:.0},\n  \"gets_hit\": {},\n  \"gets_miss\": {},\n  \"integrity_mismatches\": {},\n  \"tag_mismatches\": {},\n  \"hard_errors\": {},\n  \"ops\": {{\n    \"put\": {},\n    \"get\": {},\n    \"del\": {},\n    \"flush\": {},\n    \"stats\": {},\n    \"ping\": {}\n  }},\n  \"wire\": {{\n    \"req_put\": {},\n    \"req_get\": {},\n    \"req_del\": {},\n    \"conns_opened\": {},\n    \"conns_closed\": {},\n    \"busy_rejected\": {},\n    \"malformed_frames\": {},\n    \"idle_timeouts\": {}\n  }},\n  \"tier_split\": {{\"hits_memory\": {hits_memory}, \"hits_spill\": {hits_spill}, \"misses\": {misses}}},\n  \"saturation_probe_busy\": {}{ab_json}{trace_json},\n  \"note\": \"closed-loop loopback load against the in-process cc-server; every GET verified byte-for-byte against a per-thread shadow model (integrity_mismatches must be 0; tag_mismatches counts pipelined responses whose tag was duplicate, unknown, or lost). ops.* are the server's own per-opcode wire latency histograms in nanoseconds; tier_split is parsed from the STATS Prometheus payload fetched over the wire; saturation_probe_busy records whether an extra connection beyond the worker pool was answered BUSY (threaded full mode only); ab_sweep (when present) holds the per-backend connection-count ladder — client-observed hot-path latency with the remaining connections open-and-idle — and the threaded-vs-evented verdict; trace (when present, from --trace) holds the flight-recorder accounting — main-run span sampling, the interleaved traced-vs-untraced overhead probe, the injected-corruption dump trial, and whether the GET max-latency exemplar's trace id resolved inside the on-wire DUMP payload.\"\n}}\n",
+        "{{\n  \"benchmark\": \"loadgen\",\n  \"backend\": \"{}\",\n  \"pipeline_window\": {pipeline_window},\n  \"threads\": {threads},\n  \"ops_per_thread\": {ops_per_thread},\n  \"keys_per_thread\": {KEYS_PER_THREAD},\n  \"zipf_s\": {ZIPF_S},\n  \"page_size\": {PAGE},\n  \"budget_bytes\": {BUDGET},\n  \"mix\": \"50% put / 40% get / 10% del\",\n  \"elapsed_s\": {elapsed:.3},\n  \"ops_per_sec\": {ops_per_sec:.0},\n  \"gets_hit\": {},\n  \"gets_miss\": {},\n  \"integrity_mismatches\": {},\n  \"tag_mismatches\": {},\n  \"hard_errors\": {},\n  \"ops\": {{\n    \"put\": {},\n    \"get\": {},\n    \"del\": {},\n    \"flush\": {},\n    \"stats\": {},\n    \"ping\": {}\n  }},\n  \"wire\": {{\n    \"req_put\": {},\n    \"req_get\": {},\n    \"req_del\": {},\n    \"conns_opened\": {},\n    \"conns_closed\": {},\n    \"busy_rejected\": {},\n    \"malformed_frames\": {},\n    \"idle_timeouts\": {}\n  }},\n  \"tier_split\": {{\"hits_memory\": {hits_memory}, \"hits_spill\": {hits_spill}, \"misses\": {misses}}},\n  \"open_connections_after_shutdown\": {open_after_shutdown}{ladder_json}{trace_json},\n  \"note\": \"closed-loop loopback load against the in-process cc-server; every GET verified byte-for-byte against a per-thread shadow model (integrity_mismatches must be 0; tag_mismatches counts pipelined responses whose tag was duplicate, unknown, or lost). ops.* are the server's own per-opcode wire latency histograms in nanoseconds; tier_split is parsed from the STATS Prometheus payload fetched over the wire; open_connections_after_shutdown must be 0 (with conns_opened == conns_closed); ladder (when present, from --conns) holds the connection ladder against the one engine — client-observed hot-path latency per level with the remaining connections open-and-idle, one reactor per CPU — and the top-vs-lowest-level p99 ratio; trace (when present, from --trace) holds the flight-recorder accounting — main-run span sampling, the interleaved traced-vs-untraced overhead probe, the injected-corruption dump trial, and whether the GET max-latency exemplar's trace id resolved inside the on-wire DUMP payload.\"\n}}\n",
         backend.name(),
         total.gets_hit,
         total.gets_miss,
@@ -1148,7 +1013,6 @@ fn main() {
         wire("busy_rejected"),
         wire("malformed_frames"),
         wire("idle_timeouts"),
-        busy_seen,
     );
     let mut f = std::fs::File::create(&out_path).expect("create output");
     f.write_all(json.as_bytes()).expect("write output");
@@ -1223,24 +1087,26 @@ fn main() {
         if expected.0 != expected.1 {
             failures.push("STATS metric names/order differ from the Exporter schema".into());
         }
-        // Sweep gates: both backends must sustain at least the smallest
-        // level, and the reactor's tail latency must stay within 2x of
-        // the pool's at equal connection count.
-        if let Some((_, _, t_max, e_max, _, p99_ratio)) = &sweep {
-            if *t_max == 0 {
-                failures.push("sweep: threaded backend sustained no level".into());
-            }
-            if *e_max == 0 {
-                failures.push("sweep: evented backend sustained no level".into());
-            }
-            if *e_max < *t_max {
+        // Connection balance: every connection the server opened, it
+        // closed by the end of shutdown.
+        if open_after_shutdown != 0 || wire("conns_opened") != wire("conns_closed") {
+            failures.push(format!(
+                "after shutdown: open_connections {open_after_shutdown}, conns opened {} vs closed {}",
+                wire("conns_opened"),
+                wire("conns_closed")
+            ));
+        }
+        // Ladder gates: every level sustained, and idle connections must
+        // not cost the hot path its tail.
+        if let Some((_, all_sustained, p99_ratio)) = &ladder {
+            if !all_sustained {
                 failures.push(format!(
-                    "sweep: evented sustained fewer conns ({e_max}) than threaded ({t_max})"
+                    "ladder: not every level up to {ladder_conns} conns was sustained"
                 ));
             }
-            if !p99_ratio.is_nan() && *p99_ratio > 2.0 {
+            if *p99_ratio > 2.0 {
                 failures.push(format!(
-                    "sweep: evented p99 is {p99_ratio:.2}x threaded at equal connection count (gate: 2x)"
+                    "ladder: top-level p99 is {p99_ratio:.2}x the lowest level's (gate: 2x)"
                 ));
             }
         }

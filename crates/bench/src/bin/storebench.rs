@@ -271,8 +271,8 @@ fn run_trial(
     lat.sort_unstable();
 
     let s = store.stats();
-    let ratio = if s.memory_bytes > 0 {
-        (store.len() as u64 * PAGE as u64) as f64 / s.memory_bytes as f64
+    let ratio = if s.resident_bytes > 0 {
+        (store.len() as u64 * PAGE as u64) as f64 / s.resident_bytes as f64
     } else {
         1.0
     };
@@ -556,8 +556,8 @@ fn run_codec_trial(policy: CodecPolicy, ops: u64, zipf: &Arc<Zipf>, zipf_ops: u6
     get_ns.sort_unstable();
     let s = store.stats();
     let telemetry = store.telemetry_snapshot();
-    let ratio = if s.memory_bytes > 0 {
-        (store.len() as u64 * PAGE as u64) as f64 / s.memory_bytes as f64
+    let ratio = if s.resident_bytes > 0 {
+        (store.len() as u64 * PAGE as u64) as f64 / s.resident_bytes as f64
     } else {
         1.0
     };

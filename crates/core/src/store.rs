@@ -702,9 +702,6 @@ pub struct StoreStats {
     /// Bytes in the spill file belonging to removed or replaced entries,
     /// reclaimable by the next compaction (gauge).
     pub spill_dead_bytes: u64,
-    /// Current compressed bytes resident in memory (same as
-    /// [`StoreStats::resident_bytes`]; kept for source compatibility).
-    pub memory_bytes: u64,
     /// Current bytes resident in memory across the hot and warm tiers,
     /// never above the configured budget.
     pub resident_bytes: u64,
@@ -2466,7 +2463,6 @@ impl StoreCore {
             degraded: self.degraded.load(Ordering::Relaxed),
             bytes_on_spill: self.spill_file_bytes.load(Ordering::Relaxed),
             spill_dead_bytes: self.spill_dead_bytes.load(Ordering::Relaxed),
-            memory_bytes: resident,
             resident_bytes: resident,
             hot_bytes: self.hot_resident.load(Ordering::Relaxed) as u64,
             warm_bytes: self.warm_resident.load(Ordering::Relaxed) as u64,
@@ -4045,8 +4041,7 @@ mod tests {
         let s = store.stats();
         assert_eq!(s.compressed, 32);
         assert_eq!(s.misses, 1);
-        assert!(s.memory_bytes > 0 && s.memory_bytes < 32 * 4096);
-        assert_eq!(s.memory_bytes, s.resident_bytes);
+        assert!(s.resident_bytes > 0 && s.resident_bytes < 32 * 4096);
     }
 
     #[test]
@@ -4060,7 +4055,7 @@ mod tests {
         assert!(store.remove(1));
         assert!(!store.remove(1));
         assert!(store.is_empty());
-        assert_eq!(store.stats().memory_bytes, 0);
+        assert_eq!(store.stats().resident_bytes, 0);
     }
 
     #[test]
@@ -4220,7 +4215,7 @@ mod tests {
             store.flush().unwrap();
             let s = store.stats();
             assert!(s.spilled > 0, "must have spilled: {s:?}");
-            assert!(s.memory_bytes <= 8 * 1024);
+            assert!(s.resident_bytes <= 8 * 1024);
             assert!(s.spill_batches > 0, "spills imply batches: {s:?}");
             assert!(s.bytes_on_spill > 0);
             let mut out = vec![0u8; 4096];

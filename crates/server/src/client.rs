@@ -53,7 +53,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// The worst-case total time spent sleeping between attempts (the
-    /// hard bound a saturated-pool caller is promised, excluding the
+    /// hard bound a caller of a saturated server is promised, excluding the
     /// per-attempt I/O time itself).
     pub fn max_backoff_total(&self) -> Duration {
         let mut total = Duration::ZERO;
@@ -91,7 +91,7 @@ fn is_transient(e: &io::Error) -> bool {
 pub enum ClientError {
     /// Transport failure (includes the server closing mid-response).
     Io(io::Error),
-    /// The server answered `BUSY`: the worker pool is saturated and the
+    /// The server answered `BUSY`: it is at its connection cap and the
     /// request was not executed. Retry later, ideally with backoff.
     Busy,
     /// The server answered `ERR` with this message.
@@ -105,7 +105,7 @@ impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClientError::Io(e) => write!(f, "client I/O error: {e}"),
-            ClientError::Busy => write!(f, "server busy: worker pool saturated"),
+            ClientError::Busy => write!(f, "server busy: connection cap reached"),
             ClientError::Server(msg) => write!(f, "server error: {msg}"),
             ClientError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
         }

@@ -4,37 +4,36 @@
 //! The compression cache grew up: Douglis's in-kernel compressed tier is
 //! today deployed as a *networked* cache service (ZipCache's DRAM/SSD
 //! tiers, TMTS's software-defined far memory), and this crate is that
-//! serving surface for the workspace. A [`Server`] runs one of two
-//! interchangeable engines behind [`ServerBackend`]:
+//! serving surface for the workspace. A [`Server`] runs one engine:
+//! `N` evented reactors ([`reactor`]), where `N` is the host's available
+//! parallelism. Each reactor is a single-threaded readiness loop over
+//! nonblocking sockets ([`event`]: epoll on Linux, poll(2) fallback)
+//! with its own clone of the one listening socket, registered while no
+//! peer holds fewer connections; the reactor that accepts a connection
+//! owns it for its life. Connections
+//! cost buffers, not threads, so thousands of mostly-idle connections
+//! are cheap, the seq-tagged framing lets one connection pipeline a
+//! window of requests, and store work spreads over the cores because the
+//! connections spread over the reactors.
 //!
-//! - **Threaded** — a fixed worker pool ([`ServerConfig::workers`]
-//!   threads) behind a counted admission gate; each worker serves one
-//!   connection at a time, end to end. Simple, and the baseline the
-//!   evented engine is benchmarked against.
-//! - **Evented** — a single-threaded readiness loop ([`reactor`]) over
-//!   nonblocking sockets ([`event`]: epoll on Linux, poll(2) fallback).
-//!   Connections cost buffers, not threads, so thousands of mostly-idle
-//!   connections are cheap, and the seq-tagged framing lets one
-//!   connection pipeline a window of requests.
-//!
-//! Both engines share the protocol ([`proto`], [`frame`]: PUT / GET /
-//! DEL / FLUSH / STATS / PING in tagged, length-prefixed frames), the
-//! request dispatcher and wire telemetry ([`service`]), counted
-//! admission with `BUSY` rejection, wall-clock idle timeouts, and
-//! graceful drain shutdown — the integration suite runs against both.
-//! STATS returns the store's and server's Prometheus snapshots verbatim,
-//! so the service is scrapeable from day one. A blocking,
-//! connection-reusing [`Client`] (with a pipelined mode) lives in
-//! [`client`].
+//! All reactors share the protocol ([`proto`], [`frame`]: PUT / GET /
+//! DEL / FLUSH / STATS / PING / DUMP in tagged, length-prefixed frames),
+//! the request dispatcher and wire telemetry ([`service`], one counter
+//! stripe per reactor), and one global admission count
+//! ([`ServerConfig::max_conns`]; the connection beyond it is answered
+//! `BUSY`). Idle connections time out on wall-clock deadlines, and
+//! shutdown drains every started frame. STATS returns the store's and
+//! server's Prometheus snapshots verbatim, so the service is scrapeable
+//! from day one. A blocking, connection-reusing [`Client`] (with a
+//! pipelined mode) lives in [`client`].
 //!
 //! ```no_run
 //! use cc_core::store::{CompressedStore, StoreConfig};
-//! use cc_server::{Client, Server, ServerBackend, ServerConfig};
+//! use cc_server::{Client, Server, ServerConfig};
 //! use std::sync::Arc;
 //!
 //! let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(64 << 20)));
-//! let cfg = ServerConfig::default().with_backend(ServerBackend::Evented);
-//! let server = Server::spawn(store, "127.0.0.1:0", cfg).unwrap();
+//! let server = Server::spawn(store, "127.0.0.1:0", ServerConfig::default()).unwrap();
 //! let mut client = Client::connect(server.local_addr()).unwrap();
 //! client.put(7, &[0xAB; 4096]).unwrap();
 //! let mut page = Vec::new();
@@ -47,10 +46,8 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub(crate) mod conn;
 pub mod event;
 pub mod frame;
-pub mod pool;
 pub mod proto;
 pub(crate) mod reactor;
 pub mod service;
@@ -61,43 +58,36 @@ pub use proto::{Opcode, ProtoError, Request, Response, Status};
 pub use service::Service;
 
 use cc_core::store::CompressedStore;
-use pool::WorkerPool;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Which serving engine a [`Server`] runs.
+/// Which readiness mechanism the reactors poll with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServerBackend {
-    /// Blocking fixed worker pool: one thread per in-flight connection.
+    /// The platform backend (epoll on Linux).
     #[default]
-    Threaded,
-    /// Readiness-based event loop on the platform backend (epoll on
-    /// Linux).
     Evented,
-    /// The event loop forced onto the portable poll(2) backend — for
-    /// tests and A/B runs exercising the fallback path.
+    /// The portable poll(2) backend — the only one on non-epoll
+    /// platforms, and the reference the tests hold epoll to.
     EventedPoll,
 }
 
 impl ServerBackend {
-    /// Parse a CLI-style backend name (`threaded`, `evented`,
-    /// `evented-poll`).
+    /// Parse a CLI-style backend name (`evented`, `evented-poll`).
     pub fn parse(s: &str) -> Option<ServerBackend> {
         match s {
-            "threaded" => Some(ServerBackend::Threaded),
             "evented" => Some(ServerBackend::Evented),
             "evented-poll" => Some(ServerBackend::EventedPoll),
             _ => None,
         }
     }
 
-    /// The CLI-style name (`threaded` / `evented` / `evented-poll`).
+    /// The CLI-style name (`evented` / `evented-poll`).
     pub fn name(self) -> &'static str {
         match self {
-            ServerBackend::Threaded => "threaded",
             ServerBackend::Evented => "evented",
             ServerBackend::EventedPoll => "evented-poll",
         }
@@ -107,19 +97,10 @@ impl ServerBackend {
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Which engine serves connections.
+    /// Which readiness mechanism the reactors use.
     pub backend: ServerBackend,
-    /// Worker threads (threaded backend); each serves one connection at
-    /// a time. This is the hard concurrency bound of the threaded
-    /// service.
-    pub workers: usize,
-    /// Connections admitted beyond the worker count (threaded backend;
-    /// they wait for the next free worker). `0` (the default) admits
-    /// exactly `workers` connections; the next one is answered `BUSY`.
-    pub backlog: usize,
-    /// Admission cap of the evented backend: connections registered
-    /// with the reactor at once. The next accept beyond it is answered
-    /// `BUSY`.
+    /// Admission cap: connections open at once, across every reactor.
+    /// The next accept beyond it is answered `BUSY`.
     pub max_conns: usize,
     /// Ceiling on a request frame body; a length prefix above this is
     /// malformed and closes the connection.
@@ -136,8 +117,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             backend: ServerBackend::default(),
-            workers: 4,
-            backlog: 0,
             max_conns: 1024,
             max_frame_bytes: frame::DEFAULT_MAX_FRAME,
             idle_timeout: Duration::from_secs(30),
@@ -147,26 +126,13 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Choose the serving engine.
+    /// Choose the readiness mechanism.
     pub fn with_backend(mut self, backend: ServerBackend) -> Self {
         self.backend = backend;
         self
     }
 
-    /// Override the worker count (clamped to at least 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Override the admission backlog (threaded backend).
-    pub fn with_backlog(mut self, backlog: usize) -> Self {
-        self.backlog = backlog;
-        self
-    }
-
-    /// Override the evented backend's connection cap (clamped to at
-    /// least 1).
+    /// Override the connection cap (clamped to at least 1).
     pub fn with_max_conns(mut self, max_conns: usize) -> Self {
         self.max_conns = max_conns.max(1);
         self
@@ -192,95 +158,82 @@ impl ServerConfig {
     }
 }
 
-/// The engine-specific half of a running server.
-enum Engine {
-    Threaded {
-        accept: Option<JoinHandle<()>>,
-        pool: Option<WorkerPool>,
-    },
-    Evented {
-        reactor: Option<JoinHandle<()>>,
-        waker: event::WakeHandle,
-    },
-}
-
 /// A running cache server. Dropping it (or calling
 /// [`Server::shutdown`]) stops accepting, drains in-flight requests,
-/// joins every thread, and flushes the store's spill writer.
+/// joins every reactor, and flushes the store's spill writer.
 pub struct Server {
     service: Arc<Service>,
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    engine: Mutex<Engine>,
+    /// One per reactor, indexed by stripe; the reactors share them too.
+    wakers: Arc<[event::WakeHandle]>,
+    threads: Vec<JoinHandle<()>>,
 }
 
-/// How often the threaded accept loop polls the shutdown flag while no
-/// connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
 impl Server {
-    /// Bind `addr` (use port 0 for an ephemeral port) and start the
-    /// configured engine.
+    /// Bind `addr` (use port 0 for an ephemeral port) and start one
+    /// reactor per available CPU.
     pub fn spawn(
         store: Arc<CompressedStore>,
         addr: impl ToSocketAddrs,
         cfg: ServerConfig,
     ) -> std::io::Result<Server> {
+        let reactors = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Server::spawn_reactors(store, addr, cfg, reactors)
+    }
+
+    /// [`Server::spawn`] with an explicit reactor count, so tests can pin
+    /// cross-reactor behaviour on any host. Reactor `i` writes telemetry
+    /// stripe `i`.
+    pub(crate) fn spawn_reactors(
+        store: Arc<CompressedStore>,
+        addr: impl ToSocketAddrs,
+        cfg: ServerConfig,
+        reactors: usize,
+    ) -> std::io::Result<Server> {
+        let reactors = reactors.max(1);
         let cfg = Arc::new(ServerConfig {
-            workers: cfg.workers.max(1),
             max_conns: cfg.max_conns.max(1),
             ..cfg
         });
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let (service, engine) = match cfg.backend {
-            ServerBackend::Threaded => {
-                let service = Arc::new(Service::new(Arc::clone(&store), cfg.workers));
-                let engine = spawn_threaded(
-                    listener,
-                    Arc::clone(&service),
-                    Arc::clone(&cfg),
-                    Arc::clone(&shutdown),
-                )?;
-                (service, engine)
-            }
-            ServerBackend::Evented | ServerBackend::EventedPoll => {
-                // One stripe for the reactor thread, plus the extra
-                // stripe `Service::new` reserves for admission.
-                let service = Arc::new(Service::new(Arc::clone(&store), 1));
-                let kind = match cfg.backend {
-                    ServerBackend::EventedPoll => BackendKind::Poll,
-                    _ => BackendKind::Platform,
-                };
-                let (reactor, waker) = reactor::Reactor::new(
-                    kind,
-                    listener,
-                    Arc::clone(&service),
-                    Arc::clone(&cfg),
-                    Arc::clone(&shutdown),
-                )?;
-                let handle = std::thread::Builder::new()
-                    .name("cc-server-reactor".into())
-                    .spawn(move || reactor.run())
-                    .expect("spawn reactor");
-                (
-                    service,
-                    Engine::Evented {
-                        reactor: Some(handle),
-                        waker,
-                    },
-                )
-            }
+        let kind = match cfg.backend {
+            ServerBackend::Evented => BackendKind::Platform,
+            ServerBackend::EventedPoll => BackendKind::Poll,
         };
-
-        Ok(Server {
+        let listener = TcpListener::bind(addr)?;
+        let service = Arc::new(Service::new(store, reactors));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut built = Vec::with_capacity(reactors);
+        let mut wakers = Vec::with_capacity(reactors);
+        for stripe in 0..reactors {
+            let (reactor, waker) = reactor::Reactor::new(
+                kind,
+                stripe,
+                listener.try_clone()?,
+                Arc::clone(&service),
+                Arc::clone(&cfg),
+                Arc::clone(&shutdown),
+            )?;
+            built.push(reactor);
+            wakers.push(waker);
+        }
+        let mut server = Server {
             service,
-            local_addr,
+            local_addr: listener.local_addr()?,
             shutdown,
-            engine: Mutex::new(engine),
-        })
+            wakers: wakers.into(),
+            threads: Vec::with_capacity(reactors),
+        };
+        // On an early return `server` drops, which stops and joins the
+        // reactors already running.
+        for (stripe, reactor) in built.into_iter().enumerate() {
+            let peers = Arc::clone(&server.wakers);
+            let handle = std::thread::Builder::new()
+                .name(format!("cc-server-reactor-{stripe}"))
+                .spawn(move || reactor.run(peers))?;
+            server.threads.push(handle);
+        }
+        Ok(server)
     }
 
     /// The bound address (resolves port 0 to the real ephemeral port).
@@ -295,29 +248,21 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, let every in-flight request
-    /// complete and its response flush, join all threads, then drain
+    /// complete and its response flush, join all reactors, then drain
     /// the store's spill writer. Idempotent via [`Drop`].
     pub fn shutdown(self) {
         // Drop runs the teardown.
     }
+}
 
-    fn shutdown_inner(&self) {
+impl Drop for Server {
+    fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        match &mut *self.engine.lock().expect("engine poisoned") {
-            Engine::Threaded { accept, pool } => {
-                if let Some(h) = accept.take() {
-                    let _ = h.join();
-                }
-                if let Some(mut p) = pool.take() {
-                    p.join();
-                }
-            }
-            Engine::Evented { reactor, waker } => {
-                waker.wake();
-                if let Some(h) = reactor.take() {
-                    let _ = h.join();
-                }
-            }
+        for waker in self.wakers.iter() {
+            waker.wake();
+        }
+        for handle in self.threads.drain(..) {
+            let _ = handle.join();
         }
         // The paper's cleaner must not be left with queued work: an
         // orderly server exit leaves every accepted PUT durable. A dead
@@ -327,83 +272,111 @@ impl Server {
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::wstat;
+    use cc_core::store::StoreConfig;
+    use std::net::TcpStream;
+    use std::sync::Barrier;
+    use std::time::Instant;
 
-/// Start the blocking engine: nonblocking accept loop + worker pool.
-fn spawn_threaded(
-    listener: TcpListener,
-    service: Arc<Service>,
-    cfg: Arc<ServerConfig>,
-    shutdown: Arc<AtomicBool>,
-) -> std::io::Result<Engine> {
-    // Non-blocking accept + short poll: the loop notices the shutdown
-    // flag without needing a wake-up connection.
-    listener.set_nonblocking(true)?;
-    let pool = WorkerPool::new(
-        Arc::clone(&service),
-        Arc::clone(&cfg),
-        Arc::clone(&shutdown),
-    );
-    let accept = {
-        // The accept thread owns this dispatcher (and its sender
-        // clone); it drops when the thread exits, which (with the
-        // pool's own sender dropped in join) is what disconnects the
-        // workers.
-        let dispatcher = pool.dispatcher();
-        let busy_stripe = cfg.workers; // the accept loop's own counter stripe
-        std::thread::Builder::new()
-            .name("cc-server-accept".into())
-            .spawn(move || loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if let Err(stream) = dispatcher.try_dispatch(stream) {
-                            reject_busy(&service, busy_stripe, stream);
-                        }
+    /// One PING round-trip on a raw connection.
+    fn ping(stream: &mut TcpStream) -> (u32, Status) {
+        let mut body = Vec::new();
+        Request::Ping.encode(&mut body);
+        frame::write_frame(stream, 1, &body).expect("write PING");
+        frame::read_frame(stream, &mut body, frame::DEFAULT_MAX_FRAME)
+            .map(|seq| (seq, Response::decode(&body).expect("decodes").status))
+            .expect("PING answered")
+    }
+
+    /// Admission is one count shared by every reactor: 2×`max_conns`
+    /// concurrent connects against three reactors admit exactly
+    /// `max_conns`, and every other connection reads a tag-0 `BUSY` —
+    /// although the admitted connections landed on more than one
+    /// reactor.
+    #[test]
+    fn admission_is_global_across_reactors() {
+        const REACTORS: usize = 3;
+        const MAX: usize = 8;
+        for backend in [ServerBackend::Evented, ServerBackend::EventedPoll] {
+            let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(4 << 20)));
+            let cfg = ServerConfig::default()
+                .with_backend(backend)
+                .with_max_conns(MAX);
+            let server =
+                Server::spawn_reactors(store, "127.0.0.1:0", cfg, REACTORS).expect("spawn server");
+            let addr = server.local_addr();
+            let service = Arc::clone(server.service());
+
+            let barrier = Arc::new(Barrier::new(2 * MAX));
+            let connects: Vec<_> = (0..2 * MAX)
+                .map(|_| {
+                    let barrier = Arc::clone(&barrier);
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        TcpStream::connect(addr).expect("connect")
+                    })
+                })
+                .collect();
+            let mut pending: Vec<TcpStream> = connects
+                .into_iter()
+                .map(|h| h.join().expect("connect thread"))
+                .collect();
+
+            // Every rejected peer holds a BUSY frame; the rest are
+            // admitted and get nothing unsolicited. Collect the BUSY
+            // ones as their frames arrive.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut busy = 0;
+            while busy < MAX {
+                assert!(
+                    Instant::now() < deadline,
+                    "{backend:?}: only {busy} BUSY frames"
+                );
+                let mut rest = Vec::new();
+                for mut s in pending {
+                    s.set_nonblocking(true).expect("nonblocking");
+                    let readable = s.peek(&mut [0u8; 1]).is_ok_and(|n| n > 0);
+                    s.set_nonblocking(false).expect("blocking");
+                    if !readable {
+                        rest.push(s);
+                        continue;
                     }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        if shutdown.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        if shutdown.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
+                    let mut body = Vec::new();
+                    let seq = frame::read_frame(&mut s, &mut body, frame::DEFAULT_MAX_FRAME)
+                        .expect("BUSY frame");
+                    assert_eq!(seq, frame::SEQ_UNSOLICITED, "{backend:?}: BUSY tag");
+                    assert_eq!(Response::decode(&body).unwrap().status, Status::Busy);
+                    busy += 1;
                 }
-            })
-            .expect("spawn accept loop")
-    };
-    Ok(Engine::Threaded {
-        accept: Some(accept),
-        pool: Some(pool),
-    })
-}
+                pending = rest;
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(pending.len(), MAX, "{backend:?}: extra connections");
+            for s in &mut pending {
+                assert_eq!(ping(s), (1, Status::Ok), "{backend:?}: admitted conn");
+            }
 
-/// Answer `BUSY` (unsolicited tag 0) on a connection the pool could not
-/// admit, then close. The write is best-effort; the rejection is always
-/// counted.
-fn reject_busy(service: &Service, stripe: usize, mut stream: std::net::TcpStream) {
-    let conn_id = service.next_conn_id();
-    service.busy_rejected(stripe, conn_id);
-    let mut body = Vec::with_capacity(1);
-    Response {
-        status: Status::Busy,
-        payload: &[],
+            let tel = service.telemetry();
+            let snap = service.snapshot();
+            assert_eq!(snap.counter("conns_opened"), Some(MAX as u64));
+            assert_eq!(snap.counter("busy_rejected"), Some(MAX as u64));
+            assert_eq!(service.open_connections(), MAX as u64);
+            let stripes_used = (0..REACTORS)
+                .filter(|&r| tel.counter_on(r, wstat::CONNS_OPENED) > 0)
+                .count();
+            assert!(
+                stripes_used > 1,
+                "{backend:?}: every admitted connection landed on one reactor"
+            );
+
+            drop(pending);
+            server.shutdown();
+            assert_eq!(service.open_connections(), 0, "{backend:?}: gauge leaked");
+            let snap = service.snapshot();
+            assert_eq!(snap.counter("conns_closed"), Some(MAX as u64));
+        }
     }
-    .encode(&mut body);
-    let _ = frame::write_frame(&mut stream, frame::SEQ_UNSOLICITED, &body);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
 }

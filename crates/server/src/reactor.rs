@@ -1,13 +1,22 @@
-//! The evented server core: one thread, a readiness loop, and a
-//! per-connection state machine.
+//! The server's engine: a reactor is one thread, a readiness loop, and
+//! a per-connection state machine; a server runs one reactor per CPU.
 //!
-//! Where the threaded backend spends a whole OS thread per in-flight
-//! connection (and 20 ms stepped reads to stay responsive), the reactor
-//! multiplexes *every* connection over a single nonblocking readiness
+//! A reactor multiplexes its connections over a nonblocking readiness
 //! loop ([`crate::event::EventBackend`]): sockets are only touched when
 //! the kernel says they are ready, so ten thousand idle connections
 //! cost ten thousand fds and some buffer bytes — not ten thousand
 //! threads.
+//!
+//! Every reactor registers its own clone of the one listening socket,
+//! but only while no other reactor holds fewer connections: left to
+//! race, the thread that wakes first drains a whole connect burst before
+//! its peers are scheduled, and every connection lands on one core. The
+//! kernel wakes all listening reactors on a pending connection; each
+//! accepts at most one per wake-up, and a reactor that loses the race
+//! sees `WouldBlock`. A connection stays on the reactor that accepted
+//! it for its whole life, so no connection state is shared between
+//! threads — only the [`Service`] (striped counters, the global
+//! admission count) and the store.
 //!
 //! Each connection walks the classic state machine
 //!
@@ -17,23 +26,22 @@
 //!        +------------- next frame ------+
 //! ```
 //!
-//! driven by the same total decoders the threaded path uses
-//! ([`crate::frame`], [`crate::proto`]). Because input is parsed out of
-//! an accumulation buffer, the protocol is naturally **pipelined**: a
-//! burst of `W` tagged request frames is executed back-to-back and the
-//! `W` tagged responses are staged into one write buffer — no
-//! per-request round-trip, no reordering hazard (each response carries
-//! its request's `seq`).
+//! driven by the total decoders in [`crate::frame`] and
+//! [`crate::proto`]. Because input is parsed out of an accumulation
+//! buffer, the protocol is naturally **pipelined**: a burst of `W`
+//! tagged request frames is executed back-to-back and the `W` tagged
+//! responses are staged into one write buffer — no per-request
+//! round-trip, no reordering hazard (each response carries its
+//! request's `seq`).
 //!
-//! Operational behaviour is contractually identical to the threaded
-//! backend, verified by running the same integration suite over both:
+//! Operational contract, checked by the integration suite on both the
+//! epoll and the poll(2) backend:
 //!
 //! - **Counted admission** — at most [`crate::ServerConfig::max_conns`]
-//!   connections; the next accept is answered `BUSY` (tag 0) and
-//!   closed.
-//! - **Idle timeout** — wall-clock, enforced by a coarse timer wheel
-//!   instead of stepped reads; an idle connection is closed and counted
-//!   once.
+//!   connections across all reactors; the next accept is answered
+//!   `BUSY` (tag 0) and closed.
+//! - **Idle timeout** — wall-clock, enforced by a coarse timer wheel;
+//!   an idle connection is closed and counted once.
 //! - **Malformed input** — counts, best-effort `ERR`, close. Nothing on
 //!   the wire can panic the reactor.
 //! - **Backpressure** — a peer that writes requests but never reads
@@ -48,8 +56,7 @@
 //!   frame, flush every staged response, then close; bounded by a drain
 //!   deadline.
 
-use crate::conn::malformed_class;
-use crate::event::{new_backend, BackendKind, Event, EventBackend, Interest, Waker};
+use crate::event::{new_backend, BackendKind, Event, EventBackend, Interest, WakeHandle, Waker};
 use crate::frame::{self, FrameError, HEADER_LEN, SEQ_UNSOLICITED};
 use crate::proto::{Request, Status};
 use crate::service::Service;
@@ -70,17 +77,21 @@ const TOKEN_WAKER: usize = usize::MAX - 1;
 /// Socket read granularity: bytes appended to the accumulation buffer
 /// per `read` call.
 const READ_CHUNK: usize = 16 << 10;
-/// Accepts drained per listener wake-up, so one accept storm cannot
-/// starve connection I/O.
-const ACCEPT_BATCH: usize = 64;
 /// Staged-response bytes beyond which a connection stops being read
 /// and parsed until the peer drains its responses.
 pub(crate) const WRITE_BACKPRESSURE: usize = 1 << 20;
 /// Hard cap on how long a drain-shutdown waits for started frames.
 const DRAIN_CAP: Duration = Duration::from_secs(5);
-/// The reactor's telemetry stripe (the evented service has stripes for
-/// the reactor and for admission).
-const STRIPE: usize = 0;
+
+/// Malformed-frame classes (the `b` value of a `malformed` wire event).
+pub(crate) mod malformed_class {
+    /// EOF inside a frame (truncated header or body).
+    pub const TRUNCATED: u64 = 1;
+    /// Length prefix above the configured frame ceiling.
+    pub const OVERSIZED: u64 = 2;
+    /// Frame arrived whole but the body failed protocol decoding.
+    pub const UNDECODABLE: u64 = 3;
+}
 
 /// Where a connection is in its request cycle (observable in tests;
 /// the transitions are the documented state machine).
@@ -196,6 +207,7 @@ impl Wire {
         &mut self,
         service: &Service,
         cfg: &ServerConfig,
+        stripe: usize,
         conn_id: u64,
         scratch: &mut Vec<u8>,
     ) -> Option<CloseReason> {
@@ -215,7 +227,7 @@ impl Wire {
                     } else {
                         SEQ_UNSOLICITED
                     };
-                    service.malformed(STRIPE, conn_id, malformed_class::OVERSIZED);
+                    service.malformed(stripe, conn_id, malformed_class::OVERSIZED);
                     self.stage_err(seq, "frame exceeds size limit");
                     break Some(CloseReason::Malformed);
                 }
@@ -226,7 +238,7 @@ impl Wire {
                 Ok(req) => {
                     let op = req.opcode();
                     let t0 = Instant::now();
-                    let (status, tctx) = service.handle(STRIPE, conn_id, &req, scratch);
+                    let (status, tctx) = service.handle(stripe, conn_id, &req, scratch);
                     let f0 = tctx.sampled().then(Instant::now);
                     frame::append_frame(&mut self.wbuf, parsed.seq, 1 + scratch.len(), |b| {
                         b.push(status as u8);
@@ -237,7 +249,7 @@ impl Wire {
                         // the tagged frame; the socket write happens
                         // asynchronously when the peer is writable.
                         tr.record(
-                            STRIPE,
+                            stripe,
                             &Span {
                                 trace_id: tctx.trace_id,
                                 span_id: tr.alloc_span(),
@@ -258,7 +270,7 @@ impl Wire {
                     self.rpos += parsed.consumed;
                 }
                 Err(e) => {
-                    service.malformed(STRIPE, conn_id, malformed_class::UNDECODABLE);
+                    service.malformed(stripe, conn_id, malformed_class::UNDECODABLE);
                     self.stage_err(parsed.seq, &e.to_string());
                     self.rpos += parsed.consumed;
                     break Some(CloseReason::Malformed);
@@ -272,9 +284,14 @@ impl Wire {
     /// The peer half-closed its stream. A partial frame left behind is
     /// a truncation (counted, answered `ERR`); complete silence between
     /// frames is a clean close.
-    pub(crate) fn note_eof(&mut self, service: &Service, conn_id: u64) -> CloseReason {
+    pub(crate) fn note_eof(
+        &mut self,
+        service: &Service,
+        stripe: usize,
+        conn_id: u64,
+    ) -> CloseReason {
         if self.has_unparsed() {
-            service.malformed(STRIPE, conn_id, malformed_class::TRUNCATED);
+            service.malformed(stripe, conn_id, malformed_class::TRUNCATED);
             self.stage_err(SEQ_UNSOLICITED, "truncated frame");
             CloseReason::Malformed
         } else {
@@ -359,11 +376,16 @@ struct Conn {
     stall_reported: bool,
 }
 
-/// The readiness loop. Owns the listener, the registered connections,
-/// and the timer wheel; runs on one dedicated thread.
+/// The readiness loop. Owns its listener clone, its registered
+/// connections, and its timer wheel; runs on one dedicated thread.
 pub(crate) struct Reactor {
+    /// This reactor's telemetry stripe (and its index in the server).
+    stripe: usize,
     backend: Box<dyn EventBackend>,
     listener: Option<TcpListener>,
+    /// The listener is registered with `backend` (see
+    /// [`Reactor::balance_accept`]).
+    listening: bool,
     waker: Waker,
     service: Arc<Service>,
     cfg: Arc<ServerConfig>,
@@ -382,6 +404,7 @@ impl Reactor {
     /// server uses to interrupt [`Reactor::run`] at shutdown.
     pub(crate) fn new(
         kind: BackendKind,
+        stripe: usize,
         listener: TcpListener,
         service: Arc<Service>,
         cfg: Arc<ServerConfig>,
@@ -397,8 +420,10 @@ impl Reactor {
         let wheel = TimerWheel::new(cfg.idle_timeout, now);
         Ok((
             Reactor {
+                stripe,
                 backend,
                 listener: Some(listener),
+                listening: true,
                 waker,
                 service,
                 cfg,
@@ -414,10 +439,12 @@ impl Reactor {
         ))
     }
 
-    /// Drive the loop until shutdown completes its drain.
-    pub(crate) fn run(mut self) {
+    /// Drive the loop until shutdown completes its drain. `peers` holds
+    /// every reactor's wake handle, indexed by stripe.
+    pub(crate) fn run(mut self, peers: Arc<[WakeHandle]>) {
         let mut expired: Vec<(usize, u64)> = Vec::new();
         loop {
+            self.balance_accept(&peers);
             let timeout = self.wheel.granularity.min(Duration::from_millis(100));
             let mut events = std::mem::take(&mut self.events);
             if let Err(e) = self.backend.poll(&mut events, Some(timeout)) {
@@ -463,24 +490,52 @@ impl Reactor {
         }
     }
 
-    /// Accept every pending connection (bounded per wake-up), applying
-    /// counted admission.
+    /// Accept one pending connection, applying the server-wide
+    /// admission cap. One per wake-up, so [`Reactor::balance_accept`]
+    /// runs between accepts; the listener is level-triggered, so the rest
+    /// of a burst is still reported ready.
     fn accept_ready(&mut self) {
-        for _ in 0..ACCEPT_BATCH {
-            let Some(listener) = self.listener.as_ref() else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if self.conns.len() >= self.cfg.max_conns {
-                        self.reject_busy(stream);
-                        continue;
+        let Some(listener) = self.listener.as_ref() else {
+            return;
+        };
+        // Errors (`WouldBlock`, or a connection reset before accept)
+        // leave nothing to do until the next readiness.
+        if let Ok((stream, _)) = listener.accept() {
+            if self.service.try_admit(self.cfg.max_conns) {
+                self.admit(stream);
+            } else {
+                self.reject_busy(stream);
+            }
+        }
+    }
+
+    /// Listen only while no other reactor holds fewer connections. Some
+    /// reactor always holds the fewest, so some reactor always listens:
+    /// one that stops wakes its peers, which re-check before their next
+    /// poll. Connects arriving in between wait in the kernel's queue.
+    fn balance_accept(&mut self, peers: &[WakeHandle]) {
+        let Some(listener) = self.listener.as_ref() else {
+            return;
+        };
+        let mine = self.service.reactor_load(self.stripe);
+        let fewest = (0..peers.len()).all(|r| self.service.reactor_load(r) >= mine);
+        if fewest == self.listening {
+            return;
+        }
+        let fd = listener.as_raw_fd();
+        let changed = if fewest {
+            self.backend.register(fd, TOKEN_LISTENER, Interest::READ)
+        } else {
+            self.backend.deregister(fd)
+        };
+        if changed.is_ok() {
+            self.listening = fewest;
+            if !fewest {
+                for (r, peer) in peers.iter().enumerate() {
+                    if r != self.stripe {
+                        peer.wake();
                     }
-                    self.admit(stream);
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return,
             }
         }
     }
@@ -490,14 +545,16 @@ impl Reactor {
     /// buffer does not block the loop.
     fn reject_busy(&mut self, mut stream: TcpStream) {
         let conn_id = self.service.next_conn_id();
-        self.service.busy_rejected(STRIPE, conn_id);
+        self.service.busy_rejected(self.stripe, conn_id);
         let _ = stream.set_nonblocking(true);
         let _ = frame::write_frame(&mut stream, SEQ_UNSOLICITED, &[Status::Busy as u8]);
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
 
+    /// Register an admitted connection (its slot is already reserved).
     fn admit(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
+            self.service.cancel_admission();
             return;
         }
         let _ = stream.set_nodelay(true);
@@ -518,9 +575,10 @@ impl Reactor {
         if self.backend.register(fd, token, Interest::READ).is_err() {
             // Registration failure: the connection was never served.
             self.conns.remove(token);
+            self.service.cancel_admission();
             return;
         }
-        self.service.conn_opened(STRIPE, conn_id);
+        self.service.conn_opened(self.stripe, conn_id);
         self.wheel
             .schedule(now + self.cfg.idle_timeout, token, conn_id);
     }
@@ -579,24 +637,26 @@ impl Reactor {
     /// through.
     fn advance(&mut self, token: usize, eof: bool) {
         let Reactor {
+            stripe,
             conns,
             service,
             cfg,
             scratch,
             ..
         } = self;
+        let stripe = *stripe;
         let Some(conn) = conns.get_mut(token) else {
             return;
         };
 
         if conn.close_after_flush.is_none() {
-            if let Some(reason) = conn
-                .wire
-                .drain_requests(service, cfg, conn.conn_id, scratch)
+            if let Some(reason) =
+                conn.wire
+                    .drain_requests(service, cfg, stripe, conn.conn_id, scratch)
             {
                 conn.close_after_flush = Some(reason);
             } else if eof {
-                conn.close_after_flush = Some(conn.wire.note_eof(service, conn.conn_id));
+                conn.close_after_flush = Some(conn.wire.note_eof(service, stripe, conn.conn_id));
             } else if self.draining && !conn.wire.has_unparsed() {
                 // Between frames during a drain: nothing started, done.
                 conn.close_after_flush = Some(CloseReason::Shutdown);
@@ -625,9 +685,9 @@ impl Reactor {
                 break;
             }
             let before = conn.wire.requests();
-            if let Some(reason) = conn
-                .wire
-                .drain_requests(service, cfg, conn.conn_id, scratch)
+            if let Some(reason) =
+                conn.wire
+                    .drain_requests(service, cfg, stripe, conn.conn_id, scratch)
             {
                 conn.close_after_flush = Some(reason);
             } else if conn.wire.requests() == before {
@@ -658,7 +718,7 @@ impl Reactor {
                 }
                 (false, Some(since)) => {
                     tr.record(
-                        STRIPE,
+                        stripe,
                         &Span {
                             trace_id: 0,
                             span_id: tr.alloc_span(),
@@ -701,7 +761,7 @@ impl Reactor {
         let _ = self.backend.deregister(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         self.service.conn_closed(
-            STRIPE,
+            self.stripe,
             conn.conn_id,
             conn.wire.requests(),
             reason == CloseReason::Idle,
@@ -746,7 +806,9 @@ impl Reactor {
         self.draining = true;
         self.drain_deadline = now + self.cfg.idle_timeout.min(DRAIN_CAP);
         if let Some(listener) = self.listener.take() {
-            let _ = self.backend.deregister(listener.as_raw_fd());
+            if self.listening {
+                let _ = self.backend.deregister(listener.as_raw_fd());
+            }
         }
         let tokens: Vec<usize> = self.conns.iter().map(|(t, _)| t).collect();
         for token in tokens {
@@ -778,9 +840,8 @@ impl Reactor {
 
 /// A coarse hashed timing wheel. Entries are `(token, conn_id)` pairs;
 /// expiry is *lazy* — the reactor revalidates the real deadline when a
-/// slot fires and reschedules if the connection was active since. This
-/// replaces the threaded backend's 20 ms stepped reads: cost is O(1)
-/// per scheduled timer, independent of connection count.
+/// slot fires and reschedules if the connection was active since. Cost
+/// is O(1) per scheduled timer, independent of connection count.
 pub(crate) struct TimerWheel {
     slots: Vec<Vec<(usize, u64)>>,
     granularity: Duration,
@@ -891,7 +952,9 @@ mod tests {
         assert_eq!(w.state(), ConnState::ReadHeader);
         for (i, &b) in burst.iter().enumerate() {
             w.ingest(&[b]);
-            assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
+            assert!(w
+                .drain_requests(&service, &cfg, 0, 0, &mut scratch)
+                .is_none());
             let expect = if i + 1 < HEADER_LEN {
                 ConnState::ReadHeader
             } else if i + 1 < burst.len() {
@@ -924,7 +987,9 @@ mod tests {
         }
         let mut w = Wire::new();
         w.ingest(&burst);
-        assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
+        assert!(w
+            .drain_requests(&service, &cfg, 0, 0, &mut scratch)
+            .is_none());
         assert_eq!(w.requests(), 16);
         let resps = staged_responses(&w.wbuf);
         assert_eq!(resps.len(), 16);
@@ -952,7 +1017,9 @@ mod tests {
         let mut w = Wire::new();
         w.ingest(&put_frame(1, 1, &page));
         w.ingest(&get_frame(2, 1));
-        assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
+        assert!(w
+            .drain_requests(&service, &cfg, 0, 0, &mut scratch)
+            .is_none());
         assert!(
             w.read_buf_capacity() > hw,
             "test needs the burst to out-grow the mark"
@@ -976,7 +1043,9 @@ mod tests {
         );
         // And the connection still serves afterwards.
         w.ingest(&get_frame(3, 1));
-        assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
+        assert!(w
+            .drain_requests(&service, &cfg, 0, 0, &mut scratch)
+            .is_none());
         assert_eq!(w.requests(), 3);
     }
 
@@ -991,26 +1060,34 @@ mod tests {
         let page = vec![0x11; 128 << 10];
         let mut w = Wire::new();
         w.ingest(&put_frame(1, 1, &page));
-        assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
+        assert!(w
+            .drain_requests(&service, &cfg, 0, 0, &mut scratch)
+            .is_none());
         // Stage GET responses until the cap trips.
         let mut seq = 2u32;
         while w.pending_out() <= WRITE_BACKPRESSURE {
             w.ingest(&get_frame(seq, 1));
-            assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
+            assert!(w
+                .drain_requests(&service, &cfg, 0, 0, &mut scratch)
+                .is_none());
             seq += 1;
         }
         let executed = w.requests();
         // More arrivals are buffered, not executed.
         w.ingest(&get_frame(seq, 1));
         w.ingest(&get_frame(seq + 1, 1));
-        assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
+        assert!(w
+            .drain_requests(&service, &cfg, 0, 0, &mut scratch)
+            .is_none());
         assert_eq!(w.requests(), executed, "parsed past the backpressure cap");
         assert!(w.has_unparsed());
         // Drain the socket side; parsing resumes and catches up.
         let mut sink = Vec::new();
         assert!(w.flush_to(&mut sink).unwrap());
         w.housekeeping(cfg.buffer_high_water);
-        assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
+        assert!(w
+            .drain_requests(&service, &cfg, 0, 0, &mut scratch)
+            .is_none());
         assert_eq!(w.requests(), executed + 2);
         assert!(!w.has_unparsed());
     }
@@ -1030,7 +1107,7 @@ mod tests {
         frame::write_frame(&mut junk, 42, &[99]).unwrap();
         w.ingest(&junk);
         assert_eq!(
-            w.drain_requests(&service, &cfg, 0, &mut scratch),
+            w.drain_requests(&service, &cfg, 0, 0, &mut scratch),
             Some(CloseReason::Malformed)
         );
         let resps = staged_responses(&w.wbuf);
@@ -1043,21 +1120,25 @@ mod tests {
         w.ingest(&(u32::MAX).to_le_bytes());
         w.ingest(&7u32.to_le_bytes());
         assert_eq!(
-            w.drain_requests(&service, &cfg, 0, &mut scratch),
+            w.drain_requests(&service, &cfg, 0, 0, &mut scratch),
             Some(CloseReason::Malformed)
         );
 
         // EOF with half a header: truncation.
         let mut w = Wire::new();
         w.ingest(&[1, 2, 3]);
-        assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
-        assert_eq!(w.note_eof(&service, 0), CloseReason::Malformed);
+        assert!(w
+            .drain_requests(&service, &cfg, 0, 0, &mut scratch)
+            .is_none());
+        assert_eq!(w.note_eof(&service, 0, 0), CloseReason::Malformed);
 
         // EOF between frames: clean close.
         let mut w = Wire::new();
         w.ingest(&get_frame(1, 5));
-        assert!(w.drain_requests(&service, &cfg, 0, &mut scratch).is_none());
-        assert_eq!(w.note_eof(&service, 0), CloseReason::Peer);
+        assert!(w
+            .drain_requests(&service, &cfg, 0, 0, &mut scratch)
+            .is_none());
+        assert_eq!(w.note_eof(&service, 0, 0), CloseReason::Peer);
 
         let snap = service.snapshot();
         assert_eq!(snap.counter("malformed_frames"), Some(3));

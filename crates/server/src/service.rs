@@ -1,9 +1,11 @@
 //! Request dispatch over the store, plus the server's wire telemetry.
 //!
-//! One [`Service`] is shared by the accept loop and every worker. It
-//! owns a [`cc_telemetry::Telemetry`] instance built from the same
+//! One [`Service`] is shared by every reactor. It owns a
+//! [`cc_telemetry::Telemetry`] instance built from the same
 //! striped-counter / latency-histogram / event-ring types the store
-//! uses, striped per worker so request counting never contends. STATS
+//! uses, one stripe per reactor so request counting never contends, and
+//! the open-connection gauge that doubles as the server-wide admission
+//! count. STATS
 //! responses concatenate the store's Prometheus snapshot (prefix
 //! `cc_store`) with the server's own (prefix `cc_server`), both rendered
 //! by [`cc_telemetry::Snapshot::to_prometheus`] — the exact schema the
@@ -18,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Wire-level counter indices (striped per worker).
+/// Wire-level counter indices (striped per reactor).
 pub mod wstat {
     /// PUT requests executed.
     pub const REQ_PUT: usize = 0;
@@ -32,11 +34,11 @@ pub mod wstat {
     pub const REQ_STATS: usize = 4;
     /// PING requests executed.
     pub const REQ_PING: usize = 5;
-    /// Connections rejected with BUSY by the saturated pool.
+    /// Connections rejected with BUSY at the admission cap.
     pub const BUSY_REJECTED: usize = 6;
     /// Frames that failed framing or protocol decoding.
     pub const MALFORMED_FRAMES: usize = 7;
-    /// Connections a worker started serving.
+    /// Connections admitted and registered with a reactor.
     pub const CONNS_OPENED: usize = 8;
     /// Connections closed (any reason).
     pub const CONNS_CLOSED: usize = 9;
@@ -75,8 +77,8 @@ pub mod wevent {
     pub const CONN_CLOSE: usize = 1;
     /// `a` = connection id rejected at admission.
     pub const BUSY: usize = 2;
-    /// `a` = connection id, `b` = malformed-frame class (see
-    /// [`crate::conn`]).
+    /// `a` = connection id, `b` = malformed-frame class: 1 truncated,
+    /// 2 oversized, 3 undecodable.
     pub const MALFORMED: usize = 3;
     /// Event name table.
     pub const NAMES: &[&str] = &["conn_open", "conn_close", "busy", "malformed"];
@@ -102,13 +104,13 @@ pub struct Service {
 }
 
 impl Service {
-    /// Build a service over `store` with `workers + 1` counter stripes
-    /// (one per worker, one for the accept loop).
-    pub fn new(store: Arc<CompressedStore>, workers: usize) -> Service {
+    /// Build a service over `store` with one counter stripe per
+    /// reactor.
+    pub fn new(store: Arc<CompressedStore>, reactors: usize) -> Service {
         let tracer = store.tracer().cloned();
         Service {
             store,
-            tel: Telemetry::new(SERVER_TELEMETRY, workers + 1),
+            tel: Telemetry::new(SERVER_TELEMETRY, reactors),
             tracer,
             open_conns: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(0),
@@ -157,8 +159,34 @@ impl Service {
         self.next_conn_id.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Reserve one of `max` connection slots. The open-connection gauge
+    /// *is* the admitted count, so admission is global across reactors
+    /// with no second atomic. A `true` is paired with exactly one
+    /// [`Service::conn_closed`], or with [`Service::cancel_admission`]
+    /// if the connection is never served.
+    pub(crate) fn try_admit(&self, max: usize) -> bool {
+        self.open_conns
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < max as u64).then_some(n + 1)
+            })
+            .is_ok()
+    }
+
+    /// Give back a slot from [`Service::try_admit`] whose connection
+    /// failed before it was served.
+    pub(crate) fn cancel_admission(&self) {
+        self.open_conns.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Connections reactor `stripe` holds open: its stripe's opens minus
+    /// its closes.
+    pub(crate) fn reactor_load(&self, stripe: usize) -> u64 {
+        let opened = self.tel.counter_on(stripe, wstat::CONNS_OPENED);
+        opened.saturating_sub(self.tel.counter_on(stripe, wstat::CONNS_CLOSED))
+    }
+
+    /// Count an admitted connection (its slot is already held).
     pub(crate) fn conn_opened(&self, stripe: usize, conn_id: u64) {
-        self.open_conns.fetch_add(1, Ordering::Relaxed);
         self.tel.count(stripe, wstat::CONNS_OPENED, 1);
         self.tel.event(wevent::CONN_OPEN, conn_id, 0);
     }

@@ -12,8 +12,7 @@
 //! every path.
 //!
 //! Where the contract is backend-independent, the same scenario runs
-//! against the threaded pool, the epoll reactor, and the poll(2)
-//! fallback reactor.
+//! with the reactors on epoll and on the poll(2) fallback.
 
 use cc_core::store::{CompressedStore, StoreConfig};
 use cc_server::frame::{self, FrameError};
@@ -29,12 +28,8 @@ use std::time::Duration;
 
 const PAGE: usize = 1024;
 
-/// Every engine the integration contract must hold on.
-const ALL_BACKENDS: [ServerBackend; 3] = [
-    ServerBackend::Threaded,
-    ServerBackend::Evented,
-    ServerBackend::EventedPoll,
-];
+/// Every readiness backend the integration contract must hold on.
+const ALL_BACKENDS: [ServerBackend; 2] = [ServerBackend::Evented, ServerBackend::EventedPoll];
 
 /// Deterministic page content for `(key, version)`; half the versions
 /// compress well, the rest are noise.
@@ -92,13 +87,7 @@ fn mixed_load(backend: ServerBackend, ops: u64, tag: &str) {
     const KEYS_PER_THREAD: u64 = 256;
     const BUDGET: usize = 256 << 10; // well under the working set: spill exercised
 
-    let (server, store) = spill_server(
-        BUDGET,
-        ServerConfig::default()
-            .with_backend(backend)
-            .with_workers(THREADS),
-        tag,
-    );
+    let (server, store) = spill_server(BUDGET, ServerConfig::default().with_backend(backend), tag);
     let addr = server.local_addr();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -197,12 +186,9 @@ fn mixed_load(backend: ServerBackend, ops: u64, tag: &str) {
 
 #[test]
 fn concurrent_integrity_under_mixed_load() {
-    mixed_load(ServerBackend::Threaded, 10_000, "integrity");
-}
-
-#[test]
-fn concurrent_integrity_evented_backend() {
-    mixed_load(ServerBackend::Evented, 5_000, "integrity-ev");
+    for backend in ALL_BACKENDS {
+        mixed_load(backend, 5_000, &format!("integrity-{}", backend.name()));
+    }
 }
 
 /// Reads one response frame (with its tag) off a raw connection.
@@ -216,70 +202,13 @@ fn read_response(stream: &mut TcpStream) -> Result<(u32, Status, Vec<u8>), Frame
     Ok((seq, resp.status, resp.payload.to_vec()))
 }
 
-/// Saturation is bounded and observable: with one worker occupied and a
-/// zero backlog, the next connection is answered `BUSY` (unsolicited
-/// tag 0) and the rejection shows up in both the counter and the event
-/// ring.
-#[test]
-fn saturated_pool_answers_busy() {
-    let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(4 << 20)));
-    let server = Server::spawn(
-        store,
-        "127.0.0.1:0",
-        ServerConfig::default().with_workers(1).with_backlog(0),
-    )
-    .expect("spawn server");
-    let addr = server.local_addr();
-
-    // Occupy the only worker; the completed PING proves the connection
-    // was admitted and is being served.
-    let mut holder = Client::connect(addr).expect("connect holder");
-    holder.ping().expect("ping");
-
-    // The pool is now full: the next connection must be told BUSY. The
-    // server writes the frame unsolicited and closes, so read directly.
-    let mut extra = TcpStream::connect(addr).expect("connect extra");
-    let (seq, status, payload) = read_response(&mut extra).expect("read BUSY frame");
-    assert_eq!(seq, frame::SEQ_UNSOLICITED, "BUSY must carry tag 0");
-    assert_eq!(status, Status::Busy);
-    assert!(payload.is_empty());
-    let mut rest = Vec::new();
-    assert!(
-        matches!(
-            frame::read_frame(&mut extra, &mut rest, frame::DEFAULT_MAX_FRAME),
-            Err(FrameError::Closed)
-        ),
-        "rejected connection should be closed after BUSY"
-    );
-
-    // A Client sees the same thing as ClientError::Busy.
-    match Client::connect(addr).expect("connect second extra").ping() {
-        Err(ClientError::Busy) => {}
-        // The unsolicited BUSY + close can race the client's write into
-        // an I/O error on some kernels; the counters below still pin
-        // that both rejections happened server-side.
-        Err(ClientError::Io(_)) => {}
-        other => panic!("expected BUSY, got {other:?}"),
-    }
-
-    let snap = server.service().snapshot();
-    assert_eq!(snap.counter("busy_rejected"), Some(2));
-    assert_eq!(snap.event_count("busy"), Some(2));
-    assert_eq!(snap.counter("malformed_frames"), Some(0));
-
-    // The held connection still works: rejection never hurts admitted
-    // traffic.
-    holder.ping().expect("holder still served");
-    drop(holder);
-    shutdown_and_check_gauge(server, "saturated pool");
-}
-
-/// The evented engine's counted admission: with `max_conns = 1` and one
-/// connection registered, the next accept is answered `BUSY` (tag 0)
-/// and closed — and admitted traffic is untouched.
+/// Counted admission, observable on the wire: with `max_conns = 1` and
+/// one connection registered, the next accept is answered `BUSY` (tag
+/// 0) and closed, the rejection shows in both the counter and the event
+/// ring — and admitted traffic is untouched.
 #[test]
 fn evented_admission_answers_busy() {
-    for backend in [ServerBackend::Evented, ServerBackend::EventedPoll] {
+    for backend in ALL_BACKENDS {
         let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(4 << 20)));
         let server = Server::spawn(
             store,
@@ -341,23 +270,24 @@ impl AndThenPing for std::io::Result<Client> {
 }
 
 /// The client's bounded retry-with-backoff rides out a saturation
-/// window. With one worker held busy, a no-retry client gets `BUSY`
-/// immediately; a retrying client keeps reconnecting with backoff and
-/// succeeds once the holder releases the worker — within the policy's
+/// window. With the only connection slot held, a no-retry client gets
+/// `BUSY` immediately; a retrying client keeps reconnecting with backoff
+/// and succeeds once the holder releases the slot — within the policy's
 /// `max_backoff_total` bound (plus I/O slack). A retrying client
-/// against a *permanently* saturated pool still fails, in bounded time.
+/// against a *permanently* saturated server still fails, in bounded
+/// time.
 #[test]
 fn client_retry_rides_out_saturation() {
     let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(4 << 20)));
     let server = Server::spawn(
         store,
         "127.0.0.1:0",
-        ServerConfig::default().with_workers(1).with_backlog(0),
+        ServerConfig::default().with_max_conns(1),
     )
     .expect("spawn server");
     let addr = server.local_addr();
 
-    // Occupy the only worker (the completed PING proves admission).
+    // Occupy the only slot (the completed PING proves admission).
     let holder = {
         let mut c = Client::connect(addr).expect("connect holder");
         c.ping().expect("ping");
@@ -370,7 +300,7 @@ fn client_retry_rides_out_saturation() {
         other => panic!("expected immediate BUSY without retry, got {other:?}"),
     }
 
-    // Exhausted retries against a pool that never frees up: the failure
+    // Exhausted retries against a server that never frees up: the failure
     // is still BUSY and the total wait respects the backoff bound.
     let mut capped = Client::connect(addr)
         .expect("connect capped")
@@ -388,7 +318,7 @@ fn client_retry_rides_out_saturation() {
         "retry loop unbounded: {elapsed:?} for bound {bound:?}"
     );
 
-    // Release the worker mid-retry: the retrying client must succeed.
+    // Release the slot mid-retry: the retrying client must succeed.
     let release = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(40));
         drop(holder);
@@ -399,7 +329,7 @@ fn client_retry_rides_out_saturation() {
     let start = std::time::Instant::now();
     retrier
         .ping()
-        .expect("retrying client should succeed once the pool frees up");
+        .expect("retrying client should succeed once the slot frees up");
     let elapsed = start.elapsed();
     let bound = retrier.retry_policy().max_backoff_total() + Duration::from_secs(10);
     assert!(elapsed < bound, "retry took {elapsed:?}, bound {bound:?}");
@@ -424,9 +354,7 @@ fn malformed_frames_close_with_err_and_count() {
         let server = Server::spawn(
             store,
             "127.0.0.1:0",
-            ServerConfig::default()
-                .with_backend(backend)
-                .with_workers(2),
+            ServerConfig::default().with_backend(backend),
         )
         .expect("spawn server");
         let addr = server.local_addr();
@@ -535,7 +463,6 @@ fn idle_timeout_is_wall_clock_and_counted_once() {
             "127.0.0.1:0",
             ServerConfig::default()
                 .with_backend(backend)
-                .with_workers(1)
                 .with_idle_timeout(TIMEOUT),
         )
         .expect("spawn server");
@@ -606,11 +533,15 @@ fn idle_timeout_is_wall_clock_and_counted_once() {
 
 /// A pipelined window over a live server: W tagged requests issued
 /// before any response is reaped, every response matched to its tag
-/// exactly once, GET payloads byte-for-byte — on every backend.
+/// exactly once, GET payloads byte-for-byte — on every backend. The
+/// large window stages more than 1 MiB of GET responses, so the
+/// reactor's write backpressure trips mid-window and must resume.
 #[test]
 fn pipelined_window_roundtrips_tagged_responses() {
-    const WINDOW: usize = 32;
-    for backend in ALL_BACKENDS {
+    for (backend, (window, page_len)) in ALL_BACKENDS
+        .into_iter()
+        .flat_map(|b| [(32, PAGE), (400, 4096)].map(|w| (b, w)))
+    {
         let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(16 << 20)));
         let server = Server::spawn(
             store,
@@ -625,20 +556,20 @@ fn pipelined_window_roundtrips_tagged_responses() {
             .set_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
         let mut pipe = Pipeline::new();
-        let mut page = vec![0u8; PAGE];
+        let mut page = vec![0u8; page_len];
 
         // Window of PUTs, all in flight before the first reap.
         let mut tags: HashMap<u32, u64> = HashMap::new();
-        for key in 0..WINDOW as u64 {
+        for key in 0..window as u64 {
             fill_page(key, key + 1, &mut page);
             let seq = pipe
                 .send(&mut client, &Request::Put { key, page: &page })
                 .expect("pipeline PUT");
             tags.insert(seq, key);
         }
-        assert_eq!(pipe.in_flight(), WINDOW);
+        assert_eq!(pipe.in_flight(), window);
         let mut out = Vec::new();
-        for _ in 0..WINDOW {
+        for _ in 0..window {
             let (seq, status) = pipe.recv(&mut client, &mut out).expect("reap PUT");
             assert_eq!(status, Status::Ok, "{backend:?}: PUT tag {seq} failed");
             assert!(
@@ -649,15 +580,15 @@ fn pipelined_window_roundtrips_tagged_responses() {
         assert_eq!(pipe.in_flight(), 0);
 
         // Window of GETs; every payload must match its tag's key.
-        let mut expect = vec![0u8; PAGE];
+        let mut expect = vec![0u8; page_len];
         tags.clear();
-        for key in 0..WINDOW as u64 {
+        for key in 0..window as u64 {
             let seq = pipe
                 .send(&mut client, &Request::Get { key })
                 .expect("pipeline GET");
             tags.insert(seq, key);
         }
-        for _ in 0..WINDOW {
+        for _ in 0..window {
             let (seq, status) = pipe.recv(&mut client, &mut out).expect("reap GET");
             assert_eq!(status, Status::Ok, "{backend:?}: GET tag {seq} failed");
             let key = tags[&seq];
@@ -680,7 +611,7 @@ fn pipelined_window_roundtrips_tagged_responses() {
 /// the in-process snapshot renderers.
 #[test]
 fn stats_is_scrapeable_prometheus() {
-    let (server, store) = spill_server(64 << 10, ServerConfig::default().with_workers(2), "stats");
+    let (server, store) = spill_server(64 << 10, ServerConfig::default(), "stats");
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
     let mut page = vec![0u8; PAGE];
@@ -789,12 +720,8 @@ fn warm_restarted_server_serves_gets_without_reput() {
     let store = Arc::new(CompressedStore::new(
         StoreConfig::with_spill(BUDGET, &path).with_persistent(true),
     ));
-    let server = Server::spawn(
-        Arc::clone(&store),
-        "127.0.0.1:0",
-        ServerConfig::default().with_workers(2),
-    )
-    .expect("spawn cold server");
+    let server = Server::spawn(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default())
+        .expect("spawn cold server");
     let mut client = Client::connect(server.local_addr()).expect("connect cold");
     let mut page = vec![0u8; PAGE];
     for key in 0..KEYS {
@@ -836,7 +763,7 @@ fn warm_restarted_server_serves_gets_without_reput() {
     let server = Server::spawn(
         Arc::clone(&reopened),
         "127.0.0.1:0",
-        ServerConfig::default().with_workers(2),
+        ServerConfig::default(),
     )
     .expect("spawn warm server");
     let mut client = Client::connect(server.local_addr()).expect("connect warm");
@@ -872,18 +799,16 @@ fn warm_restarted_server_serves_gets_without_reput() {
     let _ = std::fs::remove_file(&map);
 }
 
-/// Graceful shutdown drains the spill writer on both engines: every
+/// Graceful shutdown drains the spill writer on every backend: every
 /// acknowledged PUT is readable from the store afterwards, and the
 /// listener is gone.
 #[test]
 fn shutdown_flushes_store_and_stops_listening() {
     const BUDGET: usize = 32 << 10; // force most pages through the spill writer
-    for backend in [ServerBackend::Threaded, ServerBackend::Evented] {
+    for backend in ALL_BACKENDS {
         let (server, store) = spill_server(
             BUDGET,
-            ServerConfig::default()
-                .with_backend(backend)
-                .with_workers(2),
+            ServerConfig::default().with_backend(backend),
             &format!("shutdown-{}", backend.name()),
         );
         let addr = server.local_addr();
@@ -935,7 +860,6 @@ fn gauge_survives_connection_churn() {
             "127.0.0.1:0",
             ServerConfig::default()
                 .with_backend(backend)
-                .with_workers(2)
                 .with_idle_timeout(Duration::from_secs(30)),
         )
         .expect("spawn server");

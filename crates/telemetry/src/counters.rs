@@ -64,6 +64,15 @@ impl CounterBank {
             .fetch_add(n, Ordering::Relaxed);
     }
 
+    /// `counter`'s value on one stripe (`stripe` wraps as in
+    /// [`CounterBank::add`]).
+    pub fn get(&self, stripe: usize, counter: usize) -> u64 {
+        debug_assert!(counter < self.names.len(), "counter {counter} out of range");
+        self.cells[(stripe % self.stripes) * self.names.len() + counter]
+            .0
+            .load(Ordering::Relaxed)
+    }
+
     /// Sum of `counter` across all stripes.
     pub fn sum(&self, counter: usize) -> u64 {
         debug_assert!(counter < self.names.len(), "counter {counter} out of range");
@@ -103,6 +112,8 @@ mod tests {
         assert_eq!(bank.sum(0), 7);
         assert_eq!(bank.sum(1), 0);
         assert_eq!(bank.sum(2), 10);
+        assert_eq!(bank.get(3, 0), 4);
+        assert_eq!(bank.get(1, 0), 2);
         assert_eq!(bank.sums(), vec![("a", 7), ("b", 0), ("c", 10)]);
     }
 

@@ -129,6 +129,11 @@ impl Telemetry {
         self.counters.sum(counter)
     }
 
+    /// `counter`'s value on one stripe: which writer did the counting.
+    pub fn counter_on(&self, stripe: usize, counter: usize) -> u64 {
+        self.counters.get(stripe, counter)
+    }
+
     /// Record a latency sample (nanoseconds) for `op`.
     #[inline]
     pub fn record(&self, op: usize, ns: u64) {
