@@ -1,5 +1,8 @@
-//! Temporary repro: pipelined window large enough to trip write
-//! backpressure on the evented backend.
+//! A pipelined window large enough to trip the reactor's write
+//! backpressure: 400 GETs of 4 KiB pages stage ~1.6 MiB of responses,
+//! more than the 1 MiB per-connection cap, so the reactor must park the
+//! connection mid-window and resume it once the client drains. Runs on
+//! both readiness backends.
 
 use cc_core::store::{CompressedStore, StoreConfig};
 use cc_server::{Client, Pipeline, Request, Server, ServerBackend, ServerConfig, Status};
@@ -10,34 +13,51 @@ use std::time::Duration;
 fn big_pipelined_window_survives_backpressure() {
     const PAGE: usize = 4096;
     const WINDOW: usize = 400; // ~1.6 MiB of responses > 1 MiB cap
-    let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(64 << 20)));
-    let server = Server::spawn(
-        store,
-        "127.0.0.1:0",
-        ServerConfig::default().with_backend(ServerBackend::Evented),
-    )
-    .expect("spawn server");
-    let addr = server.local_addr();
+    for backend in [ServerBackend::Evented, ServerBackend::EventedPoll] {
+        let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(64 << 20)));
+        let server = Server::spawn(
+            store,
+            "127.0.0.1:0",
+            ServerConfig::default().with_backend(backend),
+        )
+        .expect("spawn server");
+        let addr = server.local_addr();
 
-    let mut client = Client::connect(addr).expect("connect");
-    client
-        .set_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    let page = vec![0xA5u8; PAGE];
-    for key in 0..WINDOW as u64 {
-        client.put(key, &page).expect("put");
-    }
+        let mut client = Client::connect(addr).expect("connect");
+        client
+            .set_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let page_for = |key: u64| -> Vec<u8> {
+            (0..PAGE)
+                .map(|i| (key as usize).wrapping_mul(31).wrapping_add(i / 64) as u8)
+                .collect()
+        };
+        for key in 0..WINDOW as u64 {
+            client.put(key, &page_for(key)).expect("put");
+        }
 
-    let mut pipe = Pipeline::new();
-    for key in 0..WINDOW as u64 {
-        pipe.send(&mut client, &Request::Get { key }).expect("send");
-    }
-    let mut out = Vec::new();
-    for i in 0..WINDOW {
-        let (seq, status) = pipe
-            .recv(&mut client, &mut out)
-            .unwrap_or_else(|e| panic!("reap {i} failed: {e:?}"));
-        assert_eq!(status, Status::Ok, "tag {seq}");
-        assert_eq!(out.len(), PAGE, "tag {seq}");
+        let mut pipe = Pipeline::new();
+        let mut keys = std::collections::HashMap::new();
+        for key in 0..WINDOW as u64 {
+            let seq = pipe.send(&mut client, &Request::Get { key }).expect("send");
+            keys.insert(seq, key);
+        }
+        let mut out = Vec::new();
+        for i in 0..WINDOW {
+            let (seq, status) = pipe
+                .recv(&mut client, &mut out)
+                .unwrap_or_else(|e| panic!("{backend:?}: reap {i} failed: {e:?}"));
+            assert_eq!(status, Status::Ok, "{backend:?}: tag {seq}");
+            let key = keys
+                .remove(&seq)
+                .unwrap_or_else(|| panic!("{backend:?}: unknown or repeated tag {seq}"));
+            assert!(out == page_for(key), "{backend:?}: key {key} bytes differ");
+        }
+        assert!(keys.is_empty());
+
+        drop(client);
+        let service = Arc::clone(server.service());
+        server.shutdown();
+        assert_eq!(service.open_connections(), 0, "{backend:?}: gauge leaked");
     }
 }

@@ -184,11 +184,16 @@ fn mixed_load(backend: ServerBackend, ops: u64, tag: &str) {
     shutdown_and_check_gauge(server, tag);
 }
 
+/// The mixed-load integrity scenario on the poll(2) fallback reactor.
 #[test]
 fn concurrent_integrity_under_mixed_load() {
-    for backend in ALL_BACKENDS {
-        mixed_load(backend, 5_000, &format!("integrity-{}", backend.name()));
-    }
+    mixed_load(ServerBackend::EventedPoll, 5_000, "integrity-poll");
+}
+
+/// The mixed-load integrity scenario on the default epoll reactor.
+#[test]
+fn concurrent_integrity_evented_backend() {
+    mixed_load(ServerBackend::Evented, 5_000, "integrity-ev");
 }
 
 /// Reads one response frame (with its tag) off a raw connection.
@@ -533,15 +538,12 @@ fn idle_timeout_is_wall_clock_and_counted_once() {
 
 /// A pipelined window over a live server: W tagged requests issued
 /// before any response is reaped, every response matched to its tag
-/// exactly once, GET payloads byte-for-byte — on every backend. The
-/// large window stages more than 1 MiB of GET responses, so the
-/// reactor's write backpressure trips mid-window and must resume.
+/// exactly once, GET payloads byte-for-byte — on every backend. (A
+/// window large enough to trip write backpressure is in `bp_repro.rs`.)
 #[test]
 fn pipelined_window_roundtrips_tagged_responses() {
-    for (backend, (window, page_len)) in ALL_BACKENDS
-        .into_iter()
-        .flat_map(|b| [(32, PAGE), (400, 4096)].map(|w| (b, w)))
-    {
+    const WINDOW: usize = 32;
+    for backend in ALL_BACKENDS {
         let store = Arc::new(CompressedStore::new(StoreConfig::in_memory(16 << 20)));
         let server = Server::spawn(
             store,
@@ -556,20 +558,20 @@ fn pipelined_window_roundtrips_tagged_responses() {
             .set_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
         let mut pipe = Pipeline::new();
-        let mut page = vec![0u8; page_len];
+        let mut page = vec![0u8; PAGE];
 
         // Window of PUTs, all in flight before the first reap.
         let mut tags: HashMap<u32, u64> = HashMap::new();
-        for key in 0..window as u64 {
+        for key in 0..WINDOW as u64 {
             fill_page(key, key + 1, &mut page);
             let seq = pipe
                 .send(&mut client, &Request::Put { key, page: &page })
                 .expect("pipeline PUT");
             tags.insert(seq, key);
         }
-        assert_eq!(pipe.in_flight(), window);
+        assert_eq!(pipe.in_flight(), WINDOW);
         let mut out = Vec::new();
-        for _ in 0..window {
+        for _ in 0..WINDOW {
             let (seq, status) = pipe.recv(&mut client, &mut out).expect("reap PUT");
             assert_eq!(status, Status::Ok, "{backend:?}: PUT tag {seq} failed");
             assert!(
@@ -580,15 +582,15 @@ fn pipelined_window_roundtrips_tagged_responses() {
         assert_eq!(pipe.in_flight(), 0);
 
         // Window of GETs; every payload must match its tag's key.
-        let mut expect = vec![0u8; page_len];
+        let mut expect = vec![0u8; PAGE];
         tags.clear();
-        for key in 0..window as u64 {
+        for key in 0..WINDOW as u64 {
             let seq = pipe
                 .send(&mut client, &Request::Get { key })
                 .expect("pipeline GET");
             tags.insert(seq, key);
         }
-        for _ in 0..window {
+        for _ in 0..WINDOW {
             let (seq, status) = pipe.recv(&mut client, &mut out).expect("reap GET");
             assert_eq!(status, Status::Ok, "{backend:?}: GET tag {seq} failed");
             let key = tags[&seq];
