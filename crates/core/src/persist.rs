@@ -35,7 +35,7 @@ use std::io;
 use std::sync::{Arc, Mutex};
 
 use crate::medium::SpillMedium;
-use crate::store::{verify_extent, EXTENT_HEADER};
+use crate::store::spill::{verify_extent, EXTENT_HEADER};
 use cc_util::{crc32, Crc32};
 
 /// Bytes reserved at the head of the spill data file for the superblock
@@ -787,7 +787,7 @@ mod tests {
     /// passes on unclean recovery.
     fn back_extent(data: &MemMedium, rec: &JournalRecord) {
         let mut buf = Vec::new();
-        crate::store::encode_extent(&mut buf, rec.lsn, rec.codec, &[0xABu8; 8]);
+        crate::store::spill::encode_extent(&mut buf, rec.lsn, rec.codec, &[0xABu8; 8]);
         assert_eq!(buf.len(), rec.len as usize);
         data.write_at(&buf, rec.offset).unwrap();
     }
