@@ -864,6 +864,10 @@ fn main() {
     let snap = service.snapshot();
     let open_after_shutdown = service.open_connections();
     let store_snap = store.telemetry_snapshot();
+    // Quiescent once the store's own threads stop too: its counter laws
+    // must hold exactly.
+    store.shutdown();
+    let store_invariants = store.stats().check_invariants();
     drop(store);
     let _ = std::fs::remove_file(&spill_path);
 
@@ -1040,6 +1044,9 @@ fn main() {
         }
         if total.gets_hit == 0 {
             failures.push("no GET ever hit: the workload exercised nothing".into());
+        }
+        if let Err(e) = &store_invariants {
+            failures.push(format!("store counter invariants: {e}"));
         }
         for name in ["busy_rejected", "malformed_frames", "idle_timeouts"] {
             let v = wire(name);

@@ -10,7 +10,7 @@
 //! 2. **Spill pipeline** — the same mix against a budget ~10× smaller
 //!    than the working set, so most entries live on the spill file.
 //!    Latency percentiles are split by serving tier (memory hit vs disk
-//!    hit) via `get_tier`, and the batching factor, GC activity, and
+//!    hit) via `get_traced`, and the batching factor, GC activity, and
 //!    final file size are reported.
 //! 3. **Same-filled fast path** — a put-heavy mix where half the pages
 //!    are a single repeated word, reporting the elided-put p50 against
@@ -71,7 +71,7 @@ use cc_compress::CodecPolicy;
 use cc_core::medium::{CrashSwitch, FaultInjector, FaultPlan, FileMedium, SpillMedium};
 use cc_core::store::{CompressedStore, HitTier, StoreConfig};
 use cc_core::tier::{CompressAll, PaperThreshold, RecencyCompressibility, TierPolicy};
-use cc_telemetry::Snapshot;
+use cc_telemetry::{Snapshot, TraceCtx};
 use cc_util::SplitMix64;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -308,6 +308,8 @@ struct SpillTrial {
     /// latency histograms plus ring event counts, embedded in the JSON
     /// output and sanity-gated by `--smoke`.
     telemetry: Snapshot,
+    /// [`cc_core::StoreStats::check_invariants`] on the final, quiescent stats.
+    invariants: Result<(), String>,
 }
 
 fn run_spill_trial(threads: usize, ops_per_thread: u64, zipf: &Arc<Zipf>) -> SpillTrial {
@@ -363,7 +365,9 @@ fn run_spill_trial(threads: usize, ops_per_thread: u64, zipf: &Arc<Zipf>) -> Spi
                     }
                     5..=8 => {
                         let t0 = Instant::now();
-                        let tier = store.get_tier(key, &mut out).expect("get");
+                        let tier = store
+                            .get_traced(key, &mut out, TraceCtx::NONE)
+                            .expect("get");
                         let ns = t0.elapsed().as_nanos() as u64;
                         match tier {
                             Some(HitTier::Spill) => disk_ns.push(ns),
@@ -418,6 +422,7 @@ fn run_spill_trial(threads: usize, ops_per_thread: u64, zipf: &Arc<Zipf>) -> Spi
         file_bytes_on_disk,
         max_resident_seen,
         telemetry,
+        invariants: s.check_invariants(),
     }
 }
 
@@ -656,6 +661,9 @@ struct TierArm {
     hot_bytes: u64,
     warm_bytes: u64,
     max_resident_seen: u64,
+    /// [`cc_core::StoreStats::check_invariants`] on the final stats, taken with
+    /// the demoter stopped.
+    invariants: Result<(), String>,
 }
 
 fn run_tier_trial(
@@ -737,6 +745,7 @@ fn run_tier_trial(
     put_ns.sort_unstable();
     get_ns.sort_unstable();
 
+    store.shutdown();
     let s = store.stats();
     drop(store);
     let _ = std::fs::remove_file(&path);
@@ -761,6 +770,7 @@ fn run_tier_trial(
         hot_bytes: s.hot_bytes,
         warm_bytes: s.warm_bytes,
         max_resident_seen,
+        invariants: s.check_invariants(),
     }
 }
 
@@ -1102,6 +1112,9 @@ fn run_chaos(threads: usize, ops_per_thread: u64, seed: u64) -> i32 {
         failures.push("nothing ever spilled: the chaos ran against an idle medium".into());
     }
     store.shutdown();
+    if let Err(e) = store.stats().check_invariants() {
+        failures.push(format!("counter invariants after settling: {e}"));
+    }
     let _ = std::fs::remove_file(&path);
     failures.extend(run_chaos_recovery(seed));
     smoke::report("storebench --chaos", &failures)
@@ -1420,7 +1433,16 @@ fn run_smoke() -> i32 {
     if rec_hot.demoter_passes == 0 {
         failures.push("background demoter never completed a pass".into());
     }
+    if let Err(e) = &spill.invariants {
+        failures.push(format!("spill trial counter invariants: {e}"));
+    }
     for a in &tiers {
+        if let Err(e) = &a.invariants {
+            failures.push(format!(
+                "tier arm {} s={} counter invariants: {e}",
+                a.policy, a.zipf_s
+            ));
+        }
         if a.max_resident_seen > TIER_BUDGET as u64 {
             failures.push(format!(
                 "tier arm {} s={} exceeded budget: saw {} resident bytes with budget {TIER_BUDGET}",

@@ -39,6 +39,15 @@ fn page_for(key: u64) -> Vec<u8> {
     p
 }
 
+/// Stop the store's background threads, then check the counter laws on
+/// the now-quiescent snapshot.
+fn check_invariants_at_rest(store: &CompressedStore) {
+    store.shutdown();
+    if let Err(e) = store.stats().check_invariants() {
+        panic!("{e}");
+    }
+}
+
 fn hammer(store: Arc<CompressedStore>, ops_per_thread: u64, allow_oom: bool) {
     let stop = Arc::new(AtomicBool::new(false));
     // Budget watcher: samples the gauge as fast as it can while the
@@ -112,6 +121,7 @@ fn stress_in_memory_unbounded() {
     }
     let s = store.stats();
     assert!(s.resident_bytes <= 48 << 20);
+    check_invariants_at_rest(&store);
 }
 
 #[test]
@@ -184,6 +194,7 @@ fn stress_spill_under_budget_pressure() {
                 assert_eq!(out, page_for(key), "final key {key}");
             }
         }
+        check_invariants_at_rest(&store);
     }
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir(&dir);
@@ -312,6 +323,7 @@ fn stress_gc_churn_with_same_filled() {
                 assert_eq!(out, vec![(sf % 251) as u8; PAGE], "final same-filled {sf}");
             }
         }
+        check_invariants_at_rest(&store);
     }
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir(&dir);
@@ -415,7 +427,7 @@ fn stress_tiering_with_background_demoter() {
                 assert_eq!(out, page_for(key), "final key {key}");
             }
         }
-        store.shutdown();
+        check_invariants_at_rest(&store);
     }
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir(&dir);

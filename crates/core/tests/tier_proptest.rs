@@ -123,10 +123,14 @@ fn run_ops(store: &CompressedStore, ops: &[Op]) -> Result<(), TestCaseError> {
         prop_assert_eq!(&out, expect, "final key {} corrupted", key);
     }
     prop_assert_eq!(store.len(), model.len());
-    // Tier gauges partition the budget gauge exactly (single-threaded,
-    // demoter parked): whatever moved between tiers, nothing leaked.
+    // Single-threaded with the demoter parked, so the snapshot is
+    // quiescent: every counter law holds, including that the tier
+    // gauges partition the budget gauge exactly (whatever moved between
+    // tiers, nothing leaked).
     let s = store.stats();
-    prop_assert_eq!(s.hot_bytes + s.warm_bytes, s.resident_bytes, "{:?}", s);
+    if let Err(e) = s.check_invariants() {
+        prop_assert!(false, "{}", e);
+    }
     prop_assert!(s.resident_bytes <= 8 * PAGE as u64, "over budget: {s:?}");
     Ok(())
 }

@@ -61,7 +61,7 @@ use crate::frame::{self, FrameError, HEADER_LEN, SEQ_UNSOLICITED};
 use crate::proto::{Request, Status};
 use crate::service::Service;
 use crate::ServerConfig;
-use cc_telemetry::trace::{sop, tier as trace_tier, AnomalyKind, Span};
+use cc_telemetry::trace::{sop, AnomalyKind, TraceCtx};
 use cc_util::Slab;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -248,22 +248,11 @@ impl Wire {
                         // Reply flush on this backend is the staging of
                         // the tagged frame; the socket write happens
                         // asynchronously when the peer is writable.
-                        tr.record(
-                            stripe,
-                            &Span {
-                                trace_id: tctx.trace_id,
-                                span_id: tr.alloc_span(),
-                                parent: tctx.parent_span,
-                                op: sop::REPLY_FLUSH,
-                                tier: trace_tier::NONE,
-                                codec: op as u8,
-                                status: status as u8,
-                                start_ns: tr.now_ns(f0),
-                                queue_ns: 0,
-                                service_ns: f0.elapsed().as_nanos() as u64,
-                                arg: (1 + scratch.len()) as u64,
-                            },
-                        );
+                        tr.span(tctx, sop::REPLY_FLUSH, f0)
+                            .codec(op as u8)
+                            .status(status as u8)
+                            .arg((1 + scratch.len()) as u64)
+                            .record(stripe);
                     }
                     service.record_latency(op, t0.elapsed().as_nanos() as u64, tctx.trace_id);
                     self.requests += 1;
@@ -717,22 +706,9 @@ impl Reactor {
                     conn.stall_reported = false;
                 }
                 (false, Some(since)) => {
-                    tr.record(
-                        stripe,
-                        &Span {
-                            trace_id: 0,
-                            span_id: tr.alloc_span(),
-                            parent: 0,
-                            op: sop::PARK,
-                            tier: trace_tier::NONE,
-                            codec: 0,
-                            status: 0,
-                            start_ns: tr.now_ns(since),
-                            queue_ns: 0,
-                            service_ns: since.elapsed().as_nanos() as u64,
-                            arg: conn.conn_id,
-                        },
-                    );
+                    tr.span(TraceCtx::NONE, sop::PARK, since)
+                        .arg(conn.conn_id)
+                        .record(stripe);
                     conn.parked_since = None;
                     conn.stall_reported = false;
                 }

@@ -14,74 +14,75 @@
 
 use crate::proto::{Opcode, Request, Status};
 use cc_core::store::{CompressedStore, StoreError};
-use cc_telemetry::trace::{sop, tier, Span, TraceCtx, Tracer};
+use cc_telemetry::trace::{sop, TraceCtx, Tracer};
 use cc_telemetry::{Snapshot, Telemetry, TelemetrySpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Wire-level counter indices (striped per reactor).
-pub mod wstat {
-    /// PUT requests executed.
-    pub const REQ_PUT: usize = 0;
-    /// GET requests executed.
-    pub const REQ_GET: usize = 1;
-    /// DEL requests executed.
-    pub const REQ_DEL: usize = 2;
-    /// FLUSH requests executed.
-    pub const REQ_FLUSH: usize = 3;
-    /// STATS requests executed.
-    pub const REQ_STATS: usize = 4;
-    /// PING requests executed.
-    pub const REQ_PING: usize = 5;
-    /// Connections rejected with BUSY at the admission cap.
-    pub const BUSY_REJECTED: usize = 6;
-    /// Frames that failed framing or protocol decoding.
-    pub const MALFORMED_FRAMES: usize = 7;
-    /// Connections admitted and registered with a reactor.
-    pub const CONNS_OPENED: usize = 8;
-    /// Connections closed (any reason).
-    pub const CONNS_CLOSED: usize = 9;
-    /// Connections closed by the idle timeout.
-    pub const IDLE_TIMEOUTS: usize = 10;
-    /// DUMP requests executed.
-    pub const REQ_DUMP: usize = 11;
-    /// Counter name table, index-aligned with the constants above.
-    pub const NAMES: &[&str] = &[
-        "req_put",
-        "req_get",
-        "req_del",
-        "req_flush",
-        "req_stats",
-        "req_ping",
-        "busy_rejected",
-        "malformed_frames",
-        "conns_opened",
-        "conns_closed",
-        "idle_timeouts",
-        "req_dump",
-    ];
+cc_telemetry::schema! {
+    /// Wire-level counter indices (striped per reactor).
+    pub mod wstat: usize {
+        /// PUT requests executed.
+        REQ_PUT = "req_put",
+        /// GET requests executed.
+        REQ_GET = "req_get",
+        /// DEL requests executed.
+        REQ_DEL = "req_del",
+        /// FLUSH requests executed.
+        REQ_FLUSH = "req_flush",
+        /// STATS requests executed.
+        REQ_STATS = "req_stats",
+        /// PING requests executed.
+        REQ_PING = "req_ping",
+        /// Connections rejected with BUSY at the admission cap.
+        BUSY_REJECTED = "busy_rejected",
+        /// Frames that failed framing or protocol decoding.
+        MALFORMED_FRAMES = "malformed_frames",
+        /// Connections admitted and registered with a reactor.
+        CONNS_OPENED = "conns_opened",
+        /// Connections closed (any reason).
+        CONNS_CLOSED = "conns_closed",
+        /// Connections closed by the idle timeout.
+        IDLE_TIMEOUTS = "idle_timeouts",
+        /// DUMP requests executed.
+        REQ_DUMP = "req_dump",
+    }
 }
 
-/// Per-opcode latency histogram indices: `Opcode as usize - 1`.
-pub mod wop {
-    /// Operation name table, index-aligned with [`crate::proto::Opcode`].
-    pub const NAMES: &[&str] = &["put", "get", "del", "flush", "stats", "ping", "dump"];
+cc_telemetry::schema! {
+    /// Per-opcode latency histogram indices: `Opcode as usize - 1`.
+    pub mod wop: usize {
+        /// [`crate::proto::Opcode::Put`].
+        PUT = "put",
+        /// [`crate::proto::Opcode::Get`].
+        GET = "get",
+        /// [`crate::proto::Opcode::Del`].
+        DEL = "del",
+        /// [`crate::proto::Opcode::Flush`].
+        FLUSH = "flush",
+        /// [`crate::proto::Opcode::Stats`].
+        STATS = "stats",
+        /// [`crate::proto::Opcode::Ping`].
+        PING = "ping",
+        /// [`crate::proto::Opcode::Dump`].
+        DUMP = "dump",
+    }
 }
 
-/// Wire event kinds pushed into the server's event ring.
-pub mod wevent {
-    /// `a` = connection id.
-    pub const CONN_OPEN: usize = 0;
-    /// `a` = connection id, `b` = requests served on it.
-    pub const CONN_CLOSE: usize = 1;
-    /// `a` = connection id rejected at admission.
-    pub const BUSY: usize = 2;
-    /// `a` = connection id, `b` = malformed-frame class: 1 truncated,
-    /// 2 oversized, 3 undecodable.
-    pub const MALFORMED: usize = 3;
-    /// Event name table.
-    pub const NAMES: &[&str] = &["conn_open", "conn_close", "busy", "malformed"];
+cc_telemetry::schema! {
+    /// Wire event kinds pushed into the server's event ring.
+    pub mod wevent: usize {
+        /// `a` = connection id.
+        CONN_OPEN = "conn_open",
+        /// `a` = connection id, `b` = requests served on it.
+        CONN_CLOSE = "conn_close",
+        /// `a` = connection id rejected at admission.
+        BUSY = "busy",
+        /// `a` = connection id, `b` = malformed-frame class: 1 truncated,
+        /// 2 oversized, 3 undecodable.
+        MALFORMED = "malformed",
+    }
 }
 
 const SERVER_TELEMETRY: TelemetrySpec = TelemetrySpec {
@@ -252,8 +253,8 @@ impl Service {
                     Some(ps) => {
                         out.resize(ps, 0);
                         match self.store.get_traced(*key, out, ctx) {
-                            Ok(true) => Status::Ok,
-                            Ok(false) => {
+                            Ok(Some(_)) => Status::Ok,
+                            Ok(None) => {
                                 out.clear();
                                 Status::NotFound
                             }
@@ -295,22 +296,12 @@ impl Service {
         };
         self.tel.count(stripe, counter, 1);
         if let (Some(t), Some(t0)) = (tr, t0) {
-            t.record(
-                stripe,
-                &Span {
-                    trace_id: rctx.trace_id,
-                    span_id: root,
-                    parent: 0,
-                    op: sop::REQUEST,
-                    tier: tier::NONE,
-                    codec: req.opcode() as u8,
-                    status: status as u8,
-                    start_ns: t.now_ns(t0),
-                    queue_ns: 0,
-                    service_ns: t0.elapsed().as_nanos() as u64,
-                    arg: conn_id,
-                },
-            );
+            t.span(rctx, sop::REQUEST, t0)
+                .id(root)
+                .codec(req.opcode() as u8)
+                .status(status as u8)
+                .arg(conn_id)
+                .record(stripe);
         }
         (status, ctx)
     }

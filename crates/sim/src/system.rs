@@ -18,15 +18,17 @@ use cc_vm::{AccessResult, FaultKind, SegId, Vm, VmStats};
 use crate::config::{CodecKind, Mode, SimConfig};
 use crate::stats::{SystemReport, SystemStats};
 
-/// Timed-operation indices for the simulator's telemetry: fault service
-/// latency per fault class, in **virtual** nanoseconds (clock deltas
-/// across `service_fault`, so they are exactly the latencies a paper
-/// Table 2/3-style breakdown wants, deterministic across runs).
-mod top {
-    pub const FAULT_ZERO_FILL: usize = 0;
-    pub const FAULT_CC: usize = 1;
-    pub const FAULT_STD: usize = 2;
-    pub const NAMES: &[&str] = &["fault_zero_fill", "fault_cc", "fault_std"];
+cc_telemetry::schema! {
+    /// Timed-operation indices for the simulator's telemetry: fault
+    /// service latency per fault class, in **virtual** nanoseconds
+    /// (clock deltas across `service_fault`, so they are exactly the
+    /// latencies a paper Table 2/3-style breakdown wants, deterministic
+    /// across runs).
+    mod top: usize {
+        FAULT_ZERO_FILL = "fault_zero_fill",
+        FAULT_CC = "fault_cc",
+        FAULT_STD = "fault_std",
+    }
 }
 
 /// The simulator's telemetry layout: latency histograms only (the

@@ -18,6 +18,10 @@
 //! - [`Snapshot`] / [`Exporter`] — aggregate everything on demand and
 //!   render it as JSON, Prometheus text, or an aligned table, either
 //!   synchronously or from a background timer thread.
+//! - [`schema!`] — declares each name table (counters, ops, events,
+//!   span codes) once, one row per entry: the row yields the index
+//!   constant and the exported name, and for a counter table the
+//!   statistics struct field too.
 //!
 //! The [`Telemetry`] facade bundles one of each behind a single handle.
 //! Its hot-path cost budget: a counter bump is one uncontended atomic
@@ -31,6 +35,7 @@
 pub mod counters;
 pub mod hist;
 pub mod ring;
+mod schema;
 pub mod snapshot;
 pub mod trace;
 
@@ -38,7 +43,9 @@ pub use counters::CounterBank;
 pub use hist::{AtomicHistogram, HistSummary};
 pub use ring::{Event, EventRing};
 pub use snapshot::{ExportFormat, ExportTarget, Exporter, Snapshot};
-pub use trace::{AnomalyKind, DumpSink, Span, SpanRing, TraceCtx, Tracer, TracerBuilder};
+pub use trace::{
+    AnomalyKind, DumpSink, Span, SpanBuilder, SpanRing, TraceCtx, Tracer, TracerBuilder,
+};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Instant, SystemTime};
